@@ -14,9 +14,7 @@
 using namespace trips;
 
 // BM_FuncSim is the historical name tracked in BENCH_simspeed.json
-// baselines; it measures the default engine (pre-decoded). The
-// _legacy/_predecoded pair pins both engines explicitly so the
-// recorded JSON carries the speedup ratio on the same machine/run.
+// baselines: autocor compile + functional run.
 static void BM_FuncSim(benchmark::State &state) {
     const auto &w = workloads::find("autocor");
     for (auto _ : state) {
@@ -25,28 +23,6 @@ static void BM_FuncSim(benchmark::State &state) {
     }
 }
 BENCHMARK(BM_FuncSim)->Unit(benchmark::kMillisecond);
-
-static void BM_FuncSim_legacy(benchmark::State &state) {
-    const auto &w = workloads::find("autocor");
-    for (auto _ : state) {
-        auto r = core::runTrips(w, compiler::Options::compiled(), false,
-                                uarch::UarchConfig{},
-                                sim::FuncEngine::Legacy);
-        benchmark::DoNotOptimize(r.retVal);
-    }
-}
-BENCHMARK(BM_FuncSim_legacy)->Unit(benchmark::kMillisecond);
-
-static void BM_FuncSim_predecoded(benchmark::State &state) {
-    const auto &w = workloads::find("autocor");
-    for (auto _ : state) {
-        auto r = core::runTrips(w, compiler::Options::compiled(), false,
-                                uarch::UarchConfig{},
-                                sim::FuncEngine::Predecoded);
-        benchmark::DoNotOptimize(r.retVal);
-    }
-}
-BENCHMARK(BM_FuncSim_predecoded)->Unit(benchmark::kMillisecond);
 
 static void BM_CycleSim(benchmark::State &state) {
     const auto &w = workloads::find("a2time");

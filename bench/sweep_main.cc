@@ -2,7 +2,8 @@
  * @file
  * Parallel sweep driver.
  *
- * Three modes, all sharded across the work-stealing SweepPool:
+ * Figure and differential modes (--figures and --fuzz shard their
+ * tasks across the work-stealing SweepPool):
  *
  *   --figures       run the full (workload x compiler preset x model)
  *                   simulation matrix the paper's figures are built
@@ -78,11 +79,13 @@
  *
  * Common flags: --jobs N (0 = all cores), --seed BASE, --no-cycle,
  * --verify-til (TIL structural verification between backend passes),
- * --grow K (the block-splitting stress ladder, see ShapeConfig),
- * --engine legacy|predecoded (functional-simulator engine; default
- * predecoded, with legacy kept as the bit-identity reference).
+ * --grow K (the block-splitting stress ladder, see ShapeConfig).
+ * Numeric flag values must be plain decimal digits (fractional values
+ * allowed for --sample-tol/--sample-spread); anything else prints the
+ * usage text and exits 2.
  */
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -137,7 +140,6 @@ struct Args
     bool cycleLevel = true;
     bool repro = false;
     bool verifyTil = false;
-    sim::FuncEngine engine = sim::FuncEngine::Predecoded;
     bool dumpTil = false;
     bool compileStats = false;
     bool chip = false;
@@ -186,7 +188,7 @@ usage()
 {
     std::cerr
         << "usage: sweep_main [--jobs N] [--seed BASE] [--no-cycle]\n"
-        << "                  [--verify-til] [--engine legacy|predecoded]\n"
+        << "                  [--verify-til]\n"
         << "                  [--cache DIR] [--cache-fsck]\n"
         << "                  [--timeout-ms N] [--retries N]\n"
         << "                  [--quarantine FILE]\n"
@@ -207,9 +209,6 @@ usage()
         << "shape flags (fuzz/repro): --grow K --funcs N --top N\n"
         << "  --body N --depth N --trip N --slots N --live N\n"
         << "  --no-float --no-call --no-mem --no-subword\n"
-        << "--engine selects the functional-simulator engine (default\n"
-        << "predecoded; legacy is the reference interpreter the fast\n"
-        << "engine must match bit for bit);\n"
         << "--verify-til runs the TIL structural verifier between\n"
         << "backend passes of every TRIPS compile (fatal on violation);\n"
         << "--grow walks the block-splitting stress ladder.\n"
@@ -234,6 +233,41 @@ usage()
     std::exit(2);
 }
 
+/**
+ * Parse a numeric flag value: the whole string must be decimal digits
+ * (plus a fraction for floating-point T) that fit T. A sign, trailing
+ * characters, an empty value, or overflow prints the usage text and
+ * exits 2.
+ */
+template <typename T>
+T
+parseNum(const char *s)
+{
+    T v{};
+    const char *end = s + std::strlen(s);
+    auto [p, ec] = std::from_chars(s, end, v);
+    if (*s == '-' || ec != std::errc() || p != end)
+        usage();
+    return v;
+}
+
+/** Split a comma list into its non-empty items. */
+std::vector<std::string>
+splitList(const std::string &list)
+{
+    std::vector<std::string> items;
+    std::string cur;
+    for (char ch : list + ",") {
+        if (ch != ',') {
+            cur += ch;
+        } else if (!cur.empty()) {
+            items.push_back(cur);
+            cur.clear();
+        }
+    }
+    return items;
+}
+
 Args
 parse(int argc, char **argv)
 {
@@ -245,57 +279,41 @@ parse(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--jobs")) {
-            a.jobs = static_cast<unsigned>(std::stoul(val(i)));
+            a.jobs = parseNum<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--seed")) {
-            a.seed = std::stoull(val(i));
+            a.seed = parseNum<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--fuzz")) {
-            a.fuzzCount = std::stoull(val(i));
+            a.fuzzCount = parseNum<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--repro")) {
             a.repro = true;
-            a.reproSeed = std::stoull(val(i));
+            a.reproSeed = parseNum<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--shrink")) {
-            a.shrink = static_cast<unsigned>(std::stoul(val(i)));
+            a.shrink = parseNum<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--grow")) {
-            a.grow = static_cast<unsigned>(std::stoul(val(i)));
+            a.grow = parseNum<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--seed2")) {
-            a.seed2 = std::stoull(val(i));
+            a.seed2 = parseNum<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--seeds")) {
             a.chip = true;
-            std::string list = val(i), cur;
-            for (char ch : list + ",") {
-                if (ch == ',') {
-                    if (!cur.empty())
-                        a.seeds.push_back(std::stoull(cur));
-                    cur.clear();
-                } else {
-                    cur += ch;
-                }
-            }
+            for (const auto &item : splitList(val(i)))
+                a.seeds.push_back(parseNum<u64>(item.c_str()));
         } else if (!std::strcmp(argv[i], "--chip")) {
             a.chip = true;
         } else if (!std::strcmp(argv[i], "--cores")) {
             a.chip = true;
-            a.cores = static_cast<unsigned>(std::stoul(val(i)));
+            a.cores = parseNum<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--parallel")) {
             a.parallel = true;
         } else if (!std::strcmp(argv[i], "--quantum")) {
-            a.quantum = static_cast<unsigned>(std::stoul(val(i)));
+            a.quantum = parseNum<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--threads")) {
-            a.threads = static_cast<unsigned>(std::stoul(val(i)));
+            a.threads = parseNum<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--mix")) {
             a.chip = true;
             a.mix = val(i);
         } else if (!std::strcmp(argv[i], "--mix-suite")) {
             a.chip = true;
             a.mixSuite = true;
-        } else if (!std::strcmp(argv[i], "--engine")) {
-            std::string e = val(i);
-            if (e == "legacy")
-                a.engine = sim::FuncEngine::Legacy;
-            else if (e == "predecoded")
-                a.engine = sim::FuncEngine::Predecoded;
-            else
-                usage();
         } else if (!std::strcmp(argv[i], "--verify-til")) {
             a.verifyTil = true;
         } else if (!std::strcmp(argv[i], "--dump-til")) {
@@ -313,19 +331,19 @@ parse(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--cache")) {
             a.cacheDir = val(i);
         } else if (!std::strcmp(argv[i], "--ckpt-every")) {
-            a.ckptEvery = std::stoull(val(i));
+            a.ckptEvery = parseNum<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--sampled")) {
             a.sampledList = val(i);
         } else if (!std::strcmp(argv[i], "--sample")) {
             a.sampleSpec = val(i);
         } else if (!std::strcmp(argv[i], "--sample-tol")) {
-            a.sampleTol = std::stod(val(i));
+            a.sampleTol = parseNum<double>(val(i));
         } else if (!std::strcmp(argv[i], "--sample-spread")) {
-            a.sampleSpread = std::stod(val(i));
+            a.sampleSpread = parseNum<double>(val(i));
         } else if (!std::strcmp(argv[i], "--timeout-ms")) {
-            a.timeoutMs = std::stoull(val(i));
+            a.timeoutMs = parseNum<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--retries")) {
-            a.retries = static_cast<unsigned>(std::stoul(val(i)));
+            a.retries = parseNum<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--quarantine")) {
             a.quarantineFile = val(i);
         } else if (!std::strcmp(argv[i], "--trace-dir")) {
@@ -334,33 +352,33 @@ parse(int argc, char **argv)
             a.progress = true;
         } else if (!std::strcmp(argv[i], "--fault-seed")) {
             a.faultInject = true;
-            a.faultSeed = std::stoull(val(i));
+            a.faultSeed = parseNum<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--fault-period")) {
             a.faultInject = true;
-            a.faultPeriod = static_cast<unsigned>(std::stoul(val(i)));
+            a.faultPeriod = parseNum<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--cache-fsck")) {
             a.cacheFsck = true;
         } else if (!std::strcmp(argv[i], "--funcs")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = parseNum<unsigned>(val(i));
             a.shapeEdits.push_back(
                 [v](auto &s) { s.helperFuncs = v; });
         } else if (!std::strcmp(argv[i], "--top")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = parseNum<unsigned>(val(i));
             a.shapeEdits.push_back([v](auto &s) { s.topStmts = v; });
         } else if (!std::strcmp(argv[i], "--body")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = parseNum<unsigned>(val(i));
             a.shapeEdits.push_back([v](auto &s) { s.bodyStmts = v; });
         } else if (!std::strcmp(argv[i], "--depth")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = parseNum<unsigned>(val(i));
             a.shapeEdits.push_back([v](auto &s) { s.maxDepth = v; });
         } else if (!std::strcmp(argv[i], "--trip")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = parseNum<unsigned>(val(i));
             a.shapeEdits.push_back([v](auto &s) { s.maxLoopTrip = v; });
         } else if (!std::strcmp(argv[i], "--slots")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = parseNum<unsigned>(val(i));
             a.shapeEdits.push_back([v](auto &s) { s.memSlots = v; });
         } else if (!std::strcmp(argv[i], "--live")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = parseNum<unsigned>(val(i));
             a.shapeEdits.push_back([v](auto &s) { s.liveValues = v; });
         } else if (!std::strcmp(argv[i], "--no-float")) {
             a.shapeEdits.push_back([](auto &s) { s.floats = false; });
@@ -519,7 +537,6 @@ runFuzz(const Args &a)
     harness::DiffOptions opts;
     opts.cycleLevel = a.cycleLevel;
     opts.verifyTil = a.verifyTil;
-    opts.engine = a.engine;
     harness::SweepPool pool(a.jobs);
 
     // Any robustness knob switches to the guarded sweep: structured
@@ -752,16 +769,8 @@ int
 runMix(const Args &a)
 {
     std::vector<const workloads::Workload *> ws;
-    std::string cur;
-    for (char ch : a.mix + ",") {
-        if (ch == ',') {
-            if (!cur.empty())
-                ws.push_back(&workloads::find(cur));
-            cur.clear();
-        } else {
-            cur += ch;
-        }
-    }
+    for (const auto &name : splitList(a.mix))
+        ws.push_back(&workloads::find(name));
     if (ws.empty() || ws.size() > net::OcnModel::MAX_CORES) {
         std::cerr << "--mix needs 1..16 workload names\n";
         return 2;
@@ -877,7 +886,6 @@ runChipFuzz(const Args &a)
     harness::ShapeConfig shape = a.shape();
     harness::DiffOptions opts;
     opts.verifyTil = a.verifyTil;
-    opts.engine = a.engine;
     opts.chipCores = a.cores ? a.cores : 2;
     opts.chipEngine = chipConfig(a, opts.chipCores).engine;
     opts.chipQuantum = a.quantum;
@@ -927,7 +935,6 @@ runChipRepro(const Args &a)
                         : a.seeds;
     harness::DiffOptions opts;
     opts.verifyTil = a.verifyTil;
-    opts.engine = a.engine;
     opts.chipEngine = chipConfig(a, 0).engine;
     opts.chipQuantum = a.quantum;
     opts.chipThreads = a.threads;
@@ -981,7 +988,7 @@ runRepro(const Args &a)
             o.tilDump = &std::cout;
         MemImage fm, cm;
         auto r = core::runTrips(mod, o, cycle, uarch::UarchConfig{}, &fm,
-                                &cm, a.engine);
+                                &cm);
         std::cout << name << " retVal=" << r.retVal
                   << " blocks=" << r.isa.blocks << " fired=" << r.isa.fired
                   << (r.retVal == golden.retVal ? "" : "  <-- DIVERGES")
@@ -1031,7 +1038,6 @@ runRepro(const Args &a)
     harness::DiffOptions opts;
     opts.cycleLevel = a.cycleLevel;
     opts.verifyTil = a.verifyTil;
-    opts.engine = a.engine;
     auto full = harness::diffOne(a.reproSeed, shape, opts);
     std::cout << (full.ok ? "oracle: ok\n"
                           : "oracle: " + full.divergence + "\n");
@@ -1060,16 +1066,8 @@ int
 runSampledGate(const Args &a)
 {
     std::vector<const workloads::Workload *> ws;
-    std::string cur;
-    for (char ch : a.sampledList + ",") {
-        if (ch == ',') {
-            if (!cur.empty())
-                ws.push_back(&workloads::find(cur));
-            cur.clear();
-        } else {
-            cur += ch;
-        }
-    }
+    for (const auto &name : splitList(a.sampledList))
+        ws.push_back(&workloads::find(name));
     if (ws.empty()) {
         std::cerr << "--sampled needs at least one workload name\n";
         return 2;

@@ -28,7 +28,7 @@ runGolden(const wir::Module &mod, MemImage *final_mem)
 TripsRun
 runTrips(const wir::Module &mod, const compiler::Options &opts,
          bool cycle_level, const uarch::UarchConfig &ucfg,
-         MemImage *func_mem, MemImage *cycle_mem, sim::FuncEngine engine)
+         MemImage *func_mem, MemImage *cycle_mem)
 {
     TripsRun run;
     auto prog = compiler::compileToTrips(mod, opts, &run.compile);
@@ -36,7 +36,7 @@ runTrips(const wir::Module &mod, const compiler::Options &opts,
 
     MemImage fmem;
     wir::Interp::loadGlobals(mod, fmem);
-    sim::FuncSim fsim(prog, fmem, engine);
+    sim::FuncSim fsim(prog, fmem);
     auto fres = fsim.run();
     run.funcFuelExhausted = fres.fuelExhausted;
     run.retVal = fres.retVal;
@@ -84,13 +84,11 @@ runRisc(const wir::Module &mod, const risc::RiscOptions &opts,
 
 TripsRun
 runTrips(const workloads::Workload &w, const compiler::Options &opts,
-         bool cycle_level, const uarch::UarchConfig &ucfg,
-         sim::FuncEngine engine)
+         bool cycle_level, const uarch::UarchConfig &ucfg)
 {
     wir::Module mod;
     w.build(mod);
-    TripsRun run =
-        runTrips(mod, opts, cycle_level, ucfg, nullptr, nullptr, engine);
+    TripsRun run = runTrips(mod, opts, cycle_level, ucfg, nullptr, nullptr);
     TRIPS_ASSERT(!run.funcFuelExhausted, "functional fuel exhausted on ",
                  w.name);
     if (cycle_level) {
@@ -105,8 +103,7 @@ runTrips(const workloads::Workload &w, const compiler::Options &opts,
 TripsRun
 runTripsObserved(const workloads::Workload &w,
                  const compiler::Options &opts,
-                 const std::vector<sim::BlockObserver *> &obs,
-                 sim::FuncEngine engine)
+                 const std::vector<sim::BlockObserver *> &obs)
 {
     wir::Module mod;
     w.build(mod);
@@ -116,7 +113,7 @@ runTripsObserved(const workloads::Workload &w,
 
     MemImage fmem;
     wir::Interp::loadGlobals(mod, fmem);
-    sim::FuncSim fsim(prog, fmem, engine);
+    sim::FuncSim fsim(prog, fmem);
     for (auto *o : obs)
         fsim.addObserver(o);
     auto fres = fsim.run();

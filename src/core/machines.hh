@@ -75,8 +75,7 @@ TripsRun runTrips(const wir::Module &mod, const compiler::Options &opts,
                   bool cycle_level,
                   const uarch::UarchConfig &ucfg = uarch::UarchConfig{},
                   MemImage *func_mem = nullptr,
-                  MemImage *cycle_mem = nullptr,
-                  sim::FuncEngine engine = sim::FuncEngine::Predecoded);
+                  MemImage *cycle_mem = nullptr);
 
 /** RISC (PowerPC-like) functional run. */
 RiscRun runRisc(const wir::Module &mod,
@@ -93,15 +92,12 @@ RiscRun runRisc(const wir::Module &mod,
 /** Functional + optional cycle-level TRIPS execution. */
 TripsRun runTrips(const workloads::Workload &w,
                   const compiler::Options &opts, bool cycle_level,
-                  const uarch::UarchConfig &ucfg = uarch::UarchConfig{},
-                  sim::FuncEngine engine = sim::FuncEngine::Predecoded);
+                  const uarch::UarchConfig &ucfg = uarch::UarchConfig{});
 
 /** Functional TRIPS run with extra observers attached (Fig. 7/10). */
 TripsRun runTripsObserved(const workloads::Workload &w,
                           const compiler::Options &opts,
-                          const std::vector<sim::BlockObserver *> &obs,
-                          sim::FuncEngine engine =
-                              sim::FuncEngine::Predecoded);
+                          const std::vector<sim::BlockObserver *> &obs);
 
 /** RISC (PowerPC-like) functional run. */
 RiscRun runRisc(const workloads::Workload &w,

@@ -185,7 +185,7 @@ diffOne(u64 seed, const ShapeConfig &shape, const DiffOptions &opts)
         auto copts = compiler::Options::compiled();
         copts.verifyTil = opts.verifyTil;
         auto r = core::runTrips(mod, copts, opts.cycleLevel, opts.ucfg,
-                                &fm, &cm, opts.engine);
+                                &fm, &cm);
         if (r.funcFuelExhausted && fail("trips functional exhausted fuel"))
             return res;
         if (fail(checkRetVal(golden.retVal, r.retVal, "trips/func")) ||
@@ -207,8 +207,7 @@ diffOne(u64 seed, const ShapeConfig &shape, const DiffOptions &opts)
         MemImage fm;
         auto hopts = compiler::Options::hand();
         hopts.verifyTil = opts.verifyTil;
-        auto r = core::runTrips(mod, hopts, false, opts.ucfg, &fm,
-                                nullptr, opts.engine);
+        auto r = core::runTrips(mod, hopts, false, opts.ucfg, &fm);
         if (r.funcFuelExhausted && fail("trips/hand exhausted fuel"))
             return res;
         if (fail(checkRetVal(golden.retVal, r.retVal, "trips/hand")) ||

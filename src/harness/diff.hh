@@ -67,10 +67,6 @@ struct DiffOptions
     /** Run the TIL structural verifier between backend passes of every
      *  TRIPS compile (fatal on violation); see compiler/til.hh. */
     bool verifyTil = false;
-    /** Functional engine for every FuncSim this oracle constructs.
-     *  Legacy is kept selectable as the bit-identity reference for the
-     *  pre-decoded engine (see trips/predecode.hh). */
-    sim::FuncEngine engine = sim::FuncEngine::Predecoded;
     uarch::UarchConfig ucfg{};
 
     // Chip-mode knobs (diffChipMix / sweepChipDiff).

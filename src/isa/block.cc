@@ -1,5 +1,6 @@
 #include "isa/block.hh"
 
+#include <algorithm>
 #include <array>
 #include <set>
 #include <sstream>
@@ -38,14 +39,19 @@ struct OperandCoverage
     // [inst][0]=op0, [1]=op1, [2]=pred
     std::vector<std::array<bool, 3>> covered;
     std::vector<bool> write_covered;
+    // Header-read deliveries per slot, same layout.
+    std::vector<std::array<u8, 3>> read_hits;
+    std::vector<u8> write_read_hits;
+    std::string read_twice;  ///< first slot fed by two reads, if any
 
     OperandCoverage(size_t insts, size_t writes)
         : covered(insts, {false, false, false}),
-          write_covered(writes, false)
+          write_covered(writes, false), read_hits(insts, {0, 0, 0}),
+          write_read_hits(writes, 0)
     {}
 
     std::string
-    mark(const Target &t, size_t num_insts)
+    mark(const Target &t, size_t num_insts, bool from_read = false)
     {
         switch (t.kind) {
           case Target::Kind::None:
@@ -63,6 +69,10 @@ struct OperandCoverage
             unsigned operand = t.kind == Target::Kind::Op0 ? 0
                              : t.kind == Target::Kind::Op1 ? 1 : 2;
             covered[t.index][operand] = true;
+            if (from_read && ++read_hits[t.index][operand] == 2 &&
+                read_twice.empty())
+                read_twice = "instruction " + std::to_string(t.index) +
+                             " operand " + std::to_string(operand);
             return "";
           }
           case Target::Kind::Write:
@@ -73,6 +83,9 @@ struct OperandCoverage
                 return os.str();
             }
             write_covered[t.index] = true;
+            if (from_read && ++write_read_hits[t.index] == 2 &&
+                read_twice.empty())
+                read_twice = "write slot " + std::to_string(t.index);
             return "";
         }
         return "bad target kind";
@@ -103,7 +116,7 @@ validateBlock(const Block &block, i32 num_program_blocks)
         if (r.reg >= NUM_REGS)
             return "read of out-of-range register";
         for (const auto &t : r.targets) {
-            auto err = cov.mark(t, block.insts.size());
+            auto err = cov.mark(t, block.insts.size(), /*from_read=*/true);
             if (!err.empty())
                 return "read: " + err;
         }
@@ -199,6 +212,14 @@ validateBlock(const Block &block, i32 num_program_blocks)
         }
     }
 
+    // Header reads deliver on every instance, so two of them into one
+    // slot is a double delivery no predicate can avoid.
+    if (!cov.read_twice.empty())
+        return cov.read_twice + " receives two header-read deliveries";
+    if (fireSchedule(block).size() != block.insts.size())
+        return "no static fire schedule (dataflow cycle or a later-LSID "
+               "memory op feeding an earlier one)";
+
     if (!block.placement.empty()) {
         if (block.placement.size() != block.insts.size())
             return "placement size mismatch";
@@ -211,6 +232,64 @@ validateBlock(const Block &block, i32 num_program_blocks)
         }
     }
     return "";
+}
+
+std::vector<u16>
+fireSchedule(const Block &block)
+{
+    const size_t n = block.insts.size();
+    std::vector<u16> memOrder;
+    for (size_t i = 0; i < n; ++i) {
+        if (isMemory(block.insts[i].op))
+            memOrder.push_back(static_cast<u16>(i));
+    }
+    std::sort(memOrder.begin(), memOrder.end(), [&](u16 a, u16 c) {
+        if (block.insts[a].lsid != block.insts[c].lsid)
+            return block.insts[a].lsid < block.insts[c].lsid;
+        return a < c;
+    });
+
+    // Every instruction has at most two targets plus one LSID-chain
+    // successor, so the successor lists pack into fixed runs of three.
+    std::vector<u16> succ(3 * n);
+    std::vector<u8> nsucc(n, 0);
+    std::vector<u16> indeg(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+        for (const auto &t : block.insts[i].targets) {
+            if (t.kind != Target::Kind::Op0 && t.kind != Target::Kind::Op1 &&
+                t.kind != Target::Kind::Pred)
+                continue;
+            if (t.index >= n)
+                return {};
+            succ[3 * i + nsucc[i]++] = t.index;
+            ++indeg[t.index];
+        }
+    }
+    for (size_t j = 1; j < memOrder.size(); ++j) {
+        const u16 p = memOrder[j - 1];
+        succ[3 * p + nsucc[p]++] = memOrder[j];
+        ++indeg[memOrder[j]];
+    }
+
+    // Kahn's algorithm; a cycle leaves the order short.
+    std::vector<u16> sched;
+    sched.reserve(n);
+    std::vector<u16> stack;
+    for (size_t i = 0; i < n; ++i) {
+        if (indeg[i] == 0)
+            stack.push_back(static_cast<u16>(i));
+    }
+    while (!stack.empty()) {
+        const u16 i = stack.back();
+        stack.pop_back();
+        sched.push_back(i);
+        for (unsigned k = 0; k < nsucc[i]; ++k) {
+            const u16 s = succ[3 * i + k];
+            if (--indeg[s] == 0)
+                stack.push_back(s);
+        }
+    }
+    return sched;
 }
 
 } // namespace trips::isa

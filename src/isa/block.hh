@@ -115,9 +115,21 @@ struct Block
  * Checks: size limits; target fields reference existing slots; every
  * value/predicate operand of every instruction has at least one
  * producer; store mask consistency with store LSIDs; at least one exit;
- * exit numbering dense; placement (if present) respects per-ET capacity.
+ * exit numbering dense; placement (if present) respects per-ET capacity;
+ * the block has a static fire schedule (see fireSchedule()) and no slot
+ * receives two header-read deliveries.
  */
 std::string validateBlock(const Block &block, i32 num_program_blocks = -1);
+
+/**
+ * Static fire schedule: a topological order of the block's compute
+ * instructions over its dataflow arcs (producer before every operand or
+ * predicate consumer) plus the LSID chain (memory operations serialize
+ * in (LSID, slot) order). Returns fewer than insts.size() entries when
+ * no such order exists: a dataflow cycle, a later-LSID memory op
+ * feeding an earlier one, or a target naming a missing slot.
+ */
+std::vector<u16> fireSchedule(const Block &block);
 
 } // namespace trips::isa
 

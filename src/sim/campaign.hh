@@ -42,9 +42,11 @@ namespace trips::sim {
 
 /** Semantic version of the simulators + compiler. Part of every cache
  *  key: bump on any change that alters simulation results — or could.
- *  sim-3: functional runs moved to the pre-decoded engine; it is
- *  verified bit-identical to legacy, but entries recorded by an older
- *  engine must not outlive the verification that says so. */
+ *  sim-3: functional runs moved to the pre-decoded engine, whose
+ *  results are pinned by golden digests (tests/test_predecode.cc);
+ *  entries recorded by an older engine must not outlive the check
+ *  that says so. Later engine changes that keep those digests
+ *  byte-identical keep the version. */
 constexpr const char *SIM_VERSION = "tripsim-sim-3";
 
 /** Byte-format version of the cached TripsRun record. */

@@ -1,118 +1,44 @@
 #include "trips/func_sim.hh"
 
-#include <algorithm>
 #include <cstring>
 
 #include "sim/checkpoint.hh"
-#include "support/pool.hh"
 #include "trips/exec_core.hh"
 #include "trips/predecode.hh"
 
 namespace trips::sim {
 
-using isa::Block;
-using isa::Instruction;
 using isa::Opcode;
 using isa::OpClass;
 using isa::PredMode;
-using isa::Target;
 
 namespace {
 
-/** Token states during block dataflow execution. */
+/** Token states of the walk's result slots. */
 enum : u8 { TOK_EMPTY = 0, TOK_VALUE = 1, TOK_NULL = 2 };
-
-struct Tok
-{
-    u8 st = TOK_EMPTY;
-    u64 v = 0;
-    i16 prod = PROD_NONE;
-};
-
-/** Instruction states. */
-enum : u8 { ST_PENDING = 0, ST_FIRED = 1, ST_DEAD = 2 };
 
 } // namespace
 
-/** Static per-block metadata computed once and cached. */
-struct FuncSim::BlockMeta
-{
-    /** producers[inst][operand 0..2] = producer encodings. */
-    std::vector<std::array<std::vector<i16>, 3>> producers;
-    /** Memory instructions sorted by (LSID, slot). */
-    std::vector<u16> memOrder;
-
-    explicit BlockMeta(const Block &b)
-        : producers(b.insts.size())
-    {
-        auto note = [&](const Target &t, i16 prod) {
-            switch (t.kind) {
-              case Target::Kind::Op0:
-                producers[t.index][0].push_back(prod);
-                break;
-              case Target::Kind::Op1:
-                producers[t.index][1].push_back(prod);
-                break;
-              case Target::Kind::Pred:
-                producers[t.index][2].push_back(prod);
-                break;
-              default:
-                break;
-            }
-        };
-        for (size_t r = 0; r < b.reads.size(); ++r) {
-            for (const auto &t : b.reads[r].targets)
-                note(t, static_cast<i16>(PROD_READ0 - static_cast<i16>(r)));
-        }
-        for (size_t i = 0; i < b.insts.size(); ++i) {
-            for (const auto &t : b.insts[i].targets)
-                note(t, static_cast<i16>(i));
-            if (isMemory(b.insts[i].op))
-                memOrder.push_back(static_cast<u16>(i));
-        }
-        std::sort(memOrder.begin(), memOrder.end(),
-                  [&](u16 a, u16 c) {
-                      if (b.insts[a].lsid != b.insts[c].lsid)
-                          return b.insts[a].lsid < b.insts[c].lsid;
-                      return a < c;
-                  });
-    }
-};
-
 /**
- * Per-block dataflow buffers, allocated once per simulator and reused
- * for every block instance (assign() keeps capacity, SmallVec keeps
- * its buffer), so steady-state block execution does not allocate.
+ * Per-block buffers, fixed to the architectural limits (validateBlock
+ * refuses larger blocks) and reused for every block instance, so a
+ * block instance costs one small memset, never an allocation. The pull
+ * model stores exactly one result word and one state byte per
+ * instruction — consumers read them back through their pre-resolved
+ * SrcRefs — so there is no token array to clear or scatter into.
+ * Layout matches SrcRef: [0, n) instructions, [n, n + numReads)
+ * injected header reads, index SRC_NONE_SLOT a permanently empty slot.
  */
 struct FuncSim::Scratch
 {
-    std::vector<std::array<Tok, 3>> opnd;
-    std::vector<u8> state;
-    std::vector<u8> data_ready;
-    std::vector<i32> fired_idx;
-    std::vector<Tok> write_tok;
-    std::vector<u8> color;
-    std::vector<u8> marked;
-    SmallVec<u16, 128> readyq;
-    SmallVec<u16, 128> mq;
-
-    // Fast-path result buffers, fixed to the architectural limits
-    // (decodeBlock refuses larger blocks) so a block instance costs one
-    // small memset, never an allocation. The pull model stores exactly
-    // one result word and one state byte per instruction — consumers
-    // read them back through their pre-resolved SrcRefs — so there is
-    // no token array to clear or scatter into. Layout matches SrcRef:
-    // [0, n) instructions, [n, n + numReads) injected header reads,
-    // index SRC_NONE_SLOT a permanently empty slot.
     u64 res[isa::MAX_INSTS + isa::MAX_READS + 1];
     u8 fst[isa::MAX_INSTS + isa::MAX_READS + 1];
-    u8 fmarked[isa::MAX_INSTS];
-    u16 fmq[isa::MAX_INSTS];
+    u8 marked[isa::MAX_INSTS];
+    u16 mq[isa::MAX_INSTS];
 
-    // One-entry page cache for fast-path loads/stores (page buffers
-    // are pointer-stable, see MemImage::pageMutable). Invalidated at
-    // run() entry, on restore(), and whenever the legacy interpreter
-    // touches memory behind its back.
+    // One-entry page cache for loads/stores (page buffers are
+    // pointer-stable, see MemImage::pageMutable). Invalidated at run()
+    // entry, on restore(), and after a page-crossing store.
     Addr pageIdx = ~0ull;
     const u8 *pageR = nullptr;  ///< null: page not resident at lookup
     u8 *pageW = nullptr;        ///< null: not yet fetched mutable
@@ -125,423 +51,19 @@ struct FuncSim::Scratch
     }
 };
 
-FuncSim::FuncSim(const isa::Program &prog, MemImage &mem, FuncEngine engine)
-    : prog(prog), mem(mem), metas(prog.numBlocks()),
-      scratch(std::make_unique<Scratch>()), engineSel(engine),
-      cur(prog.entry)
+FuncSim::FuncSim(const isa::Program &prog, MemImage &mem)
+    : prog(prog), mem(mem), scratch(std::make_unique<Scratch>()),
+      decoded(std::make_unique<DecodedProgram>(prog)), cur(prog.entry)
 {
-    if (engineSel == FuncEngine::Predecoded)
-        decoded = std::make_unique<DecodedProgram>(prog);
     // Stack pointer convention: R1 starts at the module stack base.
     regfile[1] = STACK_BASE;
 }
 
 FuncSim::~FuncSim() = default;
 
-u64 FuncSim::decodedBlocks() const
-{
-    return decoded ? decoded->blocksDecoded() : 0;
-}
+u64 FuncSim::decodedBlocks() const { return decoded->blocksDecoded(); }
 
-u64 FuncSim::decodedBytes() const
-{
-    return decoded ? decoded->bytes() : 0;
-}
-
-u64 FuncSim::decodedFallbacks() const
-{
-    return decoded ? decoded->fallbackBlocks() : 0;
-}
-
-const FuncSim::BlockMeta &
-FuncSim::meta(u32 bidx)
-{
-    if (!metas[bidx])
-        metas[bidx].emplace(prog.block(bidx));
-    return *metas[bidx];
-}
-
-BlockRecord &
-FuncSim::executeBlock(u32 bidx)
-{
-    const Block &b = prog.block(bidx);
-    const BlockMeta &m = meta(bidx);
-    const size_t n = b.insts.size();
-
-    auto &opnd = scratch->opnd;
-    auto &state = scratch->state;
-    auto &data_ready = scratch->data_ready;
-    auto &fired_idx = scratch->fired_idx;
-    auto &write_tok = scratch->write_tok;
-    auto &readyq = scratch->readyq;
-    opnd.assign(n, {});
-    state.assign(n, ST_PENDING);
-    data_ready.assign(n, 0);
-    fired_idx.assign(n, -1);
-    write_tok.assign(b.writes.size(), Tok{});
-    readyq.clear();
-
-    BlockRecord &rec = workRec;
-    rec.blockIdx = bidx;
-    rec.nextBlock = 0;
-    rec.exitTaken = 0;
-    rec.isCall = rec.isRet = rec.halts = false;
-    rec.branchInst = 0;
-    rec.fired.clear();
-    rec.writeProducer.assign(b.writes.size(), PROD_NONE);
-    rec.writeIsNull.assign(b.writes.size(), false);
-
-    unsigned writes_done = 0;
-    u32 store_done_mask = 0;
-    int fired_branch = -1;
-    u64 operand_msgs = 0;
-
-    auto deliver = [&](const Target &t, const Tok &tok) {
-        switch (t.kind) {
-          case Target::Kind::None:
-            return;
-          case Target::Kind::Write:
-            TRIPS_ASSERT(write_tok[t.index].st == TOK_EMPTY,
-                         "write slot ", unsigned(t.index),
-                         " received two tokens in block ", b.label);
-            write_tok[t.index] = tok;
-            rec.writeProducer[t.index] = tok.prod;
-            rec.writeIsNull[t.index] = tok.st == TOK_NULL;
-            ++writes_done;
-            return;
-          default: {
-            unsigned k = t.kind == Target::Kind::Op0 ? 0
-                       : t.kind == Target::Kind::Op1 ? 1 : 2;
-            auto &slot = opnd[t.index][k];
-            TRIPS_ASSERT(slot.st == TOK_EMPTY,
-                         "operand ", k, " of inst ", unsigned(t.index),
-                         " received two tokens in block ", b.label);
-            slot = tok;
-            if (tok.prod >= 0 && k < 2)
-                ++operand_msgs;
-            else if (tok.prod >= 0)
-                ++operand_msgs;  // predicate delivery is also a message
-            readyq.push_back(t.index);
-            return;
-          }
-        }
-    };
-
-    auto record_fire = [&](u16 i, bool null_tok, Addr addr, u8 width) {
-        FiredOp f;
-        f.inst = i;
-        f.prodOp0 = opnd[i][0].st != TOK_EMPTY ? opnd[i][0].prod : PROD_NONE;
-        f.prodOp1 = opnd[i][1].st != TOK_EMPTY ? opnd[i][1].prod : PROD_NONE;
-        f.prodPred = opnd[i][2].st != TOK_EMPTY ? opnd[i][2].prod : PROD_NONE;
-        f.addr = addr;
-        f.width = width;
-        f.nullToken = null_tok;
-        fired_idx[i] = static_cast<i32>(rec.fired.size());
-        rec.fired.push_back(f);
-        state[i] = ST_FIRED;
-    };
-
-    // Fire a data-ready non-memory instruction.
-    auto fire_compute = [&](u16 i) {
-        const Instruction &in = b.insts[i];
-        const auto &info = opInfo(in.op);
-        if (isBranch(in.op)) {
-            TRIPS_ASSERT(fired_branch < 0,
-                         "two branches fired in block ", b.label);
-            fired_branch = i;
-            record_fire(i, false, 0, 0);
-            return;
-        }
-        bool any_null = false;
-        for (unsigned k = 0; k < info.numInputs; ++k)
-            any_null |= opnd[i][k].st == TOK_NULL;
-        Tok out;
-        out.prod = static_cast<i16>(i);
-        if (in.op == Opcode::NULLW || any_null) {
-            out.st = TOK_NULL;
-        } else {
-            out.st = TOK_VALUE;
-            out.v = evalOp(in.op, opnd[i][0].v, opnd[i][1].v, in.imm);
-        }
-        record_fire(i, out.st == TOK_NULL, 0, 0);
-        for (const auto &t : in.targets)
-            deliver(t, out);
-    };
-
-    auto fire_memory = [&](u16 i) {
-        const Instruction &in = b.insts[i];
-        unsigned width = memWidth(in.op);
-        bool addr_null = opnd[i][0].st == TOK_NULL;
-        Addr ea = opnd[i][0].v + static_cast<u64>(static_cast<i64>(in.imm));
-        if (isLoad(in.op)) {
-            Tok out;
-            out.prod = static_cast<i16>(i);
-            if (addr_null) {
-                out.st = TOK_NULL;
-            } else {
-                out.st = TOK_VALUE;
-                out.v = extendLoad(in.op, mem.read(ea, width));
-            }
-            record_fire(i, out.st == TOK_NULL, addr_null ? 0 : ea,
-                        static_cast<u8>(width));
-            for (const auto &t : in.targets)
-                deliver(t, out);
-        } else {
-            bool val_null = opnd[i][1].st == TOK_NULL;
-            bool is_null = addr_null || val_null;
-            if (!is_null)
-                mem.write(ea, opnd[i][1].v, width);
-            record_fire(i, is_null, is_null ? 0 : ea,
-                        static_cast<u8>(width));
-            store_done_mask |= 1u << in.lsid;
-        }
-    };
-
-    // Examine an instruction: fire it, queue it for memory issue, or
-    // mark it dead on a mismatched/null predicate.
-    auto examine = [&](u16 i) {
-        if (state[i] != ST_PENDING || data_ready[i])
-            return;
-        const Instruction &in = b.insts[i];
-        const auto &info = opInfo(in.op);
-        if (in.predicated()) {
-            const auto &p = opnd[i][2];
-            if (p.st == TOK_EMPTY)
-                return;
-            bool want = in.pr == PredMode::OnTrue;
-            if (p.st == TOK_NULL || (p.v != 0) != want) {
-                state[i] = ST_DEAD;
-                if (isStore(in.op))
-                    store_done_mask |= 0;  // settled via deadness below
-                return;
-            }
-        }
-        for (unsigned k = 0; k < info.numInputs; ++k) {
-            if (opnd[i][k].st == TOK_EMPTY)
-                return;
-        }
-        if (isMemory(in.op)) {
-            data_ready[i] = 1;
-        } else {
-            fire_compute(i);
-        }
-    };
-
-    // Conservative reachability: can instruction i still fire?
-    // colors: 0 unvisited, 1 visiting, 2 yes, 3 no.
-    auto &color = scratch->color;
-    color.assign(n, 0);
-    auto can_still_fire = [&](auto &&self, u16 i) -> bool {
-        if (state[i] == ST_FIRED || state[i] == ST_DEAD)
-            return false;
-        if (color[i] == 2)
-            return true;
-        if (color[i] == 3 || color[i] == 1)
-            return false;  // cycle: treat as cannot fire
-        color[i] = 1;
-        const Instruction &in = b.insts[i];
-        const auto &info = opInfo(in.op);
-        bool possible = true;
-        auto operand_possible = [&](unsigned k) {
-            if (opnd[i][k].st != TOK_EMPTY)
-                return true;
-            for (i16 p : m.producers[i][k]) {
-                if (isReadProducer(p))
-                    return true;
-                if (self(self, static_cast<u16>(p)))
-                    return true;
-            }
-            return false;
-        };
-        if (in.predicated()) {
-            const auto &p = opnd[i][2];
-            bool want = in.pr == PredMode::OnTrue;
-            if (p.st == TOK_NULL ||
-                (p.st == TOK_VALUE && (p.v != 0) != want))
-                possible = false;
-            else if (p.st == TOK_EMPTY && !operand_possible(2))
-                possible = false;
-        }
-        for (unsigned k = 0; possible && k < info.numInputs; ++k)
-            possible = operand_possible(k);
-        color[i] = possible ? 2 : 3;
-        return possible;
-    };
-
-    // Inject register reads.
-    for (size_t r = 0; r < b.reads.size(); ++r) {
-        Tok tok;
-        tok.st = TOK_VALUE;
-        tok.v = regfile[b.reads[r].reg];
-        tok.prod = static_cast<i16>(PROD_READ0 - static_cast<i16>(r));
-        for (const auto &t : b.reads[r].targets)
-            deliver(t, tok);
-    }
-    // Zero-input instructions (GENS, NULLW, unpredicated branches) are
-    // ready immediately.
-    for (u16 i = 0; i < n; ++i) {
-        const auto &in = b.insts[i];
-        if (opInfo(in.op).numInputs == 0 && !in.predicated())
-            readyq.push_back(i);
-    }
-
-    size_t mem_ptr = 0;
-    auto mem_settled = [&](u16 i) {
-        return state[i] == ST_FIRED || state[i] == ST_DEAD;
-    };
-
-    while (true) {
-        bool progress = false;
-        while (!readyq.empty()) {
-            u16 i = readyq.back();
-            readyq.pop_back();
-            examine(i);
-            progress = true;
-        }
-        // Issue memory operations in LSID order.
-        while (mem_ptr < m.memOrder.size()) {
-            u16 i = m.memOrder[mem_ptr];
-            if (mem_settled(i)) {
-                ++mem_ptr;
-                progress = true;
-                continue;
-            }
-            if (data_ready[i]) {
-                fire_memory(i);
-                ++mem_ptr;
-                progress = true;
-                // Loads may enable more compute; drain before advancing.
-                break;
-            }
-            break;
-        }
-        if (!readyq.empty())
-            continue;
-        if (progress)
-            continue;
-        // Quiescent: resolve provable deadness at the memory head.
-        if (mem_ptr < m.memOrder.size()) {
-            u16 i = m.memOrder[mem_ptr];
-            std::fill(color.begin(), color.end(), 0);
-            if (!can_still_fire(can_still_fire, i)) {
-                state[i] = ST_DEAD;
-                ++mem_ptr;
-                continue;
-            }
-        }
-        break;
-    }
-
-    bool stores_complete =
-        (store_done_mask & b.storeMask) == b.storeMask;
-    if (writes_done != b.writes.size() || !stores_complete ||
-        fired_branch < 0) {
-        TRIPS_PANIC("block ", b.label, " did not complete: writes ",
-                    writes_done, "/", b.writes.size(), " storeMask 0x",
-                    std::hex, store_done_mask, " vs 0x", b.storeMask,
-                    std::dec, " branch ", fired_branch);
-    }
-
-    // Commit: architectural register update.
-    const Instruction &br = b.insts[fired_branch];
-    rec.branchInst = static_cast<u16>(fired_branch);
-    rec.exitTaken = br.exit;
-    rec.isCall = br.op == Opcode::CALLO;
-    rec.isRet = br.op == Opcode::RET;
-    if (br.op != Opcode::RET)
-        rec.nextBlock = static_cast<u32>(br.targetBlock);
-
-    for (size_t w = 0; w < b.writes.size(); ++w) {
-        if (write_tok[w].st == TOK_VALUE)
-            regfile[b.writes[w].reg] = write_tok[w].v;
-    }
-
-    // ---- ISA statistics ----
-    ++stats.blocks;
-    stats.fetched += n;
-    stats.readsFetched += b.reads.size();
-    stats.operandMessages += operand_msgs;
-    for (size_t w = 0; w < b.writes.size(); ++w) {
-        if (write_tok[w].st == TOK_VALUE)
-            ++stats.writesCommitted;
-    }
-
-    // Usefulness marking: backward from committed outputs.
-    auto &marked = scratch->marked;
-    auto &mq = scratch->mq;
-    marked.assign(n, 0);
-    mq.clear();
-    auto seed = [&](i16 p) {
-        if (p >= 0 && !marked[p]) {
-            marked[p] = 1;
-            mq.push_back(static_cast<u16>(p));
-        }
-    };
-    seed(static_cast<i16>(fired_branch));
-    for (size_t w = 0; w < b.writes.size(); ++w) {
-        if (write_tok[w].st == TOK_VALUE)
-            seed(write_tok[w].prod);
-    }
-    for (const auto &f : rec.fired) {
-        if (isStore(b.insts[f.inst].op) && !f.nullToken)
-            seed(static_cast<i16>(f.inst));
-    }
-    while (!mq.empty()) {
-        u16 i = mq.back();
-        mq.pop_back();
-        const auto &f = rec.fired[fired_idx[i]];
-        seed(f.prodOp0);
-        seed(f.prodOp1);
-        seed(f.prodPred);
-    }
-
-    for (u16 i = 0; i < n; ++i) {
-        if (state[i] != ST_FIRED) {
-            ++stats.fetchedNotExecuted;
-            continue;
-        }
-        ++stats.fired;
-        const auto &in = b.insts[i];
-        const auto &f = rec.fired[fired_idx[i]];
-        OpClass cls = opInfo(in.op).cls;
-        if (cls == OpClass::Move) {
-            ++stats.moves;
-        } else if (marked[i] && !f.nullToken) {
-            ++stats.useful;
-            switch (cls) {
-              case OpClass::IntArith:
-              case OpClass::FpArith:
-                ++stats.usefulArith;
-                break;
-              case OpClass::Load:
-              case OpClass::Store:
-                ++stats.usefulMemory;
-                break;
-              case OpClass::Branch:
-                ++stats.usefulControl;
-                break;
-              case OpClass::Test:
-                ++stats.usefulTests;
-                break;
-              default:
-                break;
-            }
-        } else {
-            ++stats.executedNotUsed;
-        }
-        if (isLoad(in.op) && !f.nullToken)
-            ++stats.loadsExecuted;
-        if (isStore(in.op) && !f.nullToken)
-            ++stats.storesCommitted;
-    }
-
-    // The legacy interpreter may have created pages behind the fast
-    // path's one-entry page cache (fallback blocks interleave with
-    // fast ones).
-    scratch->invalidatePageCache();
-
-    return rec;
-}
+u64 FuncSim::decodedBytes() const { return decoded->bytes(); }
 
 namespace {
 
@@ -564,10 +86,28 @@ applyDelta(IsaStats &st, const StatsDelta &dl)
     st.writesCommitted += dl.writesCommitted;
 }
 
+/**
+ * The plain ref whose token a slot received in the walk that just
+ * ended: @p enc itself if its producer fired, the fired candidate of a
+ * merge slot, or SRC_NONE_SLOT when no token arrived.
+ */
+inline SrcRef
+deliveredRef(SrcRef enc, const SrcRef *pool, const u8 *fst)
+{
+    if (enc < SRC_MERGE)
+        return fst[enc] != TOK_EMPTY ? enc : SRC_NONE_SLOT;
+    const SrcRef *m = pool + (enc & SRC_PAYLOAD);
+    for (SrcRef c = 1; c <= m[0]; ++c) {
+        if (fst[m[c]] != TOK_EMPTY)
+            return m[c];
+    }
+    return SRC_NONE_SLOT;
+}
+
 } // namespace
 
 /**
- * Pre-decoded fast path. The decoded block's fire schedule is a
+ * One block instance. The decoded block's fire schedule is a
  * topological order of the dataflow + LSID-chain graph, so by the time
  * an instruction is visited every producer that can ever feed it has
  * settled: execution is a single direct-threaded walk that *pulls*
@@ -575,11 +115,10 @@ applyDelta(IsaStats &st, const StatsDelta &dl)
  * scattering tokens. Block entry injects the header-read values into
  * the result array (slots n..n+numReads-1), so the common operand
  * resolution is one indexed load; an unfired producer means the
- * operand never arrives — exactly the legacy engine's terminal pending
- * state. Firing order does not affect architectural results or
- * IsaStats — the verifier's exactly-one-token-per-slot guarantee makes
- * the fired set, token values and provenance order-independent — which
- * is what makes this bit-identical to executeBlock().
+ * operand never arrives. Firing order does not affect architectural
+ * results or IsaStats — the verifier's exactly-one-token-per-slot
+ * guarantee makes the fired set, token values and provenance
+ * order-independent.
  *
  * Dispatch is direct-threaded: each DecInst carries a handler index
  * assigned at decode, every handler ends by jumping straight to the
@@ -627,9 +166,9 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
     // Resolve one slot to its delivered token: returns the token state
     // (TOK_EMPTY when the producer never fired) and leaves the value
     // in @p out. Plain refs are one indexed load; merge slots scan
-    // their candidates for the one that fired — two delivering is the
-    // legacy double-delivery panic. Force-inlined: the post-walk merge
-    // and write loops call it per slot and the call overhead shows.
+    // their candidates for the one that fired — two delivering is a
+    // double-delivery panic. Force-inlined: the post-walk merge and
+    // write loops call it per slot and the call overhead shows.
     auto resolve = [&](SrcRef enc,
                        u64 &out) __attribute__((always_inline)) -> u8 {
         if (enc < SRC_MERGE) {
@@ -906,8 +445,7 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
 
   l_done:
     // Re-resolve every merge slot so a doubly delivered slot panics
-    // even when its consumer never pulled it — the legacy engine's
-    // delivery-time safety net.
+    // even when its consumer never pulled it.
     for (SrcRef mref : d.mergeRefs) {
         u64 dummy;
         resolve(mref, dummy);
@@ -972,29 +510,20 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
     }
 
     StatsDelta delta;
-    std::memset(s.fmarked, 0, n);
+    std::memset(s.marked, 0, n);
     u16 mq_top = 0;
     auto seed = [&](i16 p) {
-        if (p >= 0 && !s.fmarked[p]) {
-            s.fmarked[p] = 1;
-            s.fmq[mq_top++] = static_cast<u16>(p);
+        if (p >= 0 && !s.marked[p]) {
+            s.marked[p] = 1;
+            s.mq[mq_top++] = static_cast<u16>(p);
         }
     };
     // Producer of a slot's delivered token: PROD_NONE when the token
     // never arrived or came from a header read — marking only follows
-    // instruction producers, as the legacy fire records do.
+    // instruction producers.
     auto prodOf = [&](SrcRef enc) -> i16 {
-        if (enc < SRC_MERGE)
-            return enc < n && fst[enc] != TOK_EMPTY
-                       ? static_cast<i16>(enc)
-                       : PROD_NONE;
-        const SrcRef *m = pool + (enc & SRC_PAYLOAD);
-        for (SrcRef c = 1; c <= m[0]; ++c) {
-            const SrcRef e = m[c];
-            if (e < n && fst[e] != TOK_EMPTY)
-                return static_cast<i16>(e);
-        }
-        return PROD_NONE;
+        const SrcRef r = deliveredRef(enc, pool, fst);
+        return r < n ? static_cast<i16>(r) : PROD_NONE;
     };
     seed(static_cast<i16>(fb));
     for (u16 w = 0; w < d.numWrites; ++w) {
@@ -1009,7 +538,7 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
             seed(static_cast<i16>(i));
     }
     while (mq_top) {
-        const u16 i = s.fmq[--mq_top];
+        const u16 i = s.mq[--mq_top];
         const DecInst &di = insts[i];
         seed(prodOf(di.src0));
         seed(prodOf(di.src1));
@@ -1027,7 +556,7 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
         const OpClass cls = static_cast<OpClass>(insts[i].cls);
         if (cls == OpClass::Move) {
             ++delta.moves;
-        } else if (s.fmarked[i] && !is_null) {
+        } else if (s.marked[i] && !is_null) {
             ++delta.useful;
             switch (cls) {
               case OpClass::IntArith:
@@ -1063,6 +592,64 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
     return fx;
 }
 
+BlockRecord &
+FuncSim::fillRecord(u32 bidx, const DecodedBlock &d, const FastExit &fx)
+{
+    const Scratch &s = *scratch;
+    const isa::Block &b = prog.block(bidx);
+    const u16 n = d.n;
+    const u8 *const fst = s.fst;
+    const SrcRef *const pool = d.mergePool.data();
+    auto delivered = [&](SrcRef enc) { return deliveredRef(enc, pool, fst); };
+    // A delivered ref in block-slot numbering: schedule index k is
+    // block slot orig[k], header read r is PROD_READ0 - r.
+    auto producer = [&](SrcRef r) -> i16 {
+        if (r < n)
+            return static_cast<i16>(d.orig[r]);
+        if (r < n + d.numReads)
+            return static_cast<i16>(PROD_READ0 - (r - n));
+        return PROD_NONE;
+    };
+
+    BlockRecord &rec = workRec;
+    rec.blockIdx = bidx;
+    rec.isCall = fx.isCall;
+    rec.isRet = fx.isRet;
+    rec.fired.clear();
+    for (u16 k = 0; k < n; ++k) {
+        if (fst[k] == TOK_EMPTY)
+            continue;
+        const DecInst &di = d.insts[k];
+        FiredOp f;
+        f.inst = d.orig[k];
+        if (di.numIn >= 1)
+            f.prodOp0 = producer(delivered(di.src0));
+        if (di.numIn >= 2)
+            f.prodOp1 = producer(delivered(di.src1));
+        if (di.pred != static_cast<u8>(PredMode::None))
+            f.prodPred = producer(delivered(di.srcP));
+        f.nullToken = fst[k] == TOK_NULL;
+        // Memory ops: the address is recomputed from the fired address
+        // operand (null accesses record address 0).
+        f.width = di.width;
+        if (di.width && !f.nullToken)
+            f.addr = s.res[delivered(di.src0)] + static_cast<u64>(di.imm);
+        if (static_cast<DecKind>(di.kind) == DecKind::Branch) {
+            rec.branchInst = f.inst;
+            rec.exitTaken = b.insts[f.inst].exit;
+        }
+        rec.fired.push_back(f);
+    }
+    rec.writeProducer.resize(d.numWrites);
+    rec.writeIsNull.resize(d.numWrites);
+    for (u16 w = 0; w < d.numWrites; ++w) {
+        const SrcRef r = delivered(d.writeSrc[w]);
+        rec.writeProducer[w] = producer(r);
+        rec.writeIsNull[w] = fst[r] == TOK_NULL;
+    }
+    return rec;
+}
+
 FuncResult
 FuncSim::run(u64 max_blocks)
 {
@@ -1072,63 +659,41 @@ FuncSim::run(u64 max_blocks)
         result.stats = stats;
         return result;
     }
-    // The fast path has no observer stream to materialize: with a
-    // consumer registered, blocks take the legacy interpreter, whose
-    // dynamic fire order defines the record format bit for bit.
-    const bool fast =
-        engineSel == FuncEngine::Predecoded && observers.empty();
     // Callers may have mutated the bound memory image between run()
     // slices; revalidate the borrowed page pointer lazily.
     scratch->invalidatePageCache();
     for (u64 count = 0; count < max_blocks; ++count) {
-        if (fast) {
-            DecodedBlock &d = decoded->block(cur);
-            if (d.usable) {
-                FastExit fx = executeBlockFast(cur, d);
-                ++blocksDone;
-                u32 next = fx.nextBlock;
-                if (fx.isCall) {
-                    TRIPS_ASSERT(fx.returnBlock >= 0);
-                    callStack.push_back(static_cast<u32>(fx.returnBlock));
-                } else if (fx.isRet) {
-                    if (callStack.empty()) {
-                        haltedFlag = true;
-                        finalRet = static_cast<i64>(regfile[RETVAL_REG]);
-                        result.retVal = finalRet;
-                        result.stats = stats;
-                        return result;
-                    }
-                    next = callStack.back();
-                    callStack.pop_back();
-                }
-                cur = next;
-                continue;
-            }
-        }
-        BlockRecord &rec = executeBlock(cur);
+        DecodedBlock &d = decoded->block(cur);
+        const FastExit fx = executeBlockFast(cur, d);
         ++blocksDone;
-        const auto &br = prog.block(cur).insts[rec.branchInst];
-        if (rec.isCall) {
-            TRIPS_ASSERT(br.returnBlock >= 0);
-            callStack.push_back(static_cast<u32>(br.returnBlock));
-        } else if (rec.isRet) {
+        u32 next = fx.nextBlock;
+        bool halts = false;
+        if (fx.isCall) {
+            TRIPS_ASSERT(fx.returnBlock >= 0);
+            callStack.push_back(static_cast<u32>(fx.returnBlock));
+        } else if (fx.isRet) {
             if (callStack.empty()) {
-                rec.halts = true;
+                halts = true;
             } else {
-                rec.nextBlock = callStack.back();
+                next = callStack.back();
                 callStack.pop_back();
             }
         }
-        for (auto *obs : observers)
-            obs->onBlockCommit(prog.block(cur), rec);
-        if (rec.halts) {
+        if (!observers.empty()) {
+            BlockRecord &rec = fillRecord(cur, d, fx);
+            rec.nextBlock = next;
+            rec.halts = halts;
+            for (auto *obs : observers)
+                obs->onBlockCommit(prog.block(cur), rec);
+        }
+        if (halts) {
             haltedFlag = true;
             finalRet = static_cast<i64>(regfile[RETVAL_REG]);
             result.retVal = finalRet;
             result.stats = stats;
             return result;
         }
-        cur = rec.nextBlock;
+        cur = next;
     }
     result.fuelExhausted = true;
     result.stats = stats;

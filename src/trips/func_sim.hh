@@ -10,11 +10,14 @@
  * order. A block commits when every write slot and every store-mask
  * LSID has completed and exactly one branch has fired.
  *
- * The simulator exposes a BlockObserver stream of per-block dynamic
- * records (fired instructions with operand provenance, memory addresses,
- * exits). The ISA-evaluation stats (paper §4), the next-block predictor
- * study (Fig. 7), and the ideal-machine limit study (Fig. 10) are all
- * observers of this stream.
+ * There is one engine: every block is pre-decoded once into a static
+ * fire schedule and each instance is a single threaded-code walk over
+ * it (see predecode.hh). With observers attached, the walk's result
+ * and state arrays are turned into a BlockRecord after each commit:
+ * fired instructions with operand provenance, memory addresses, exits.
+ * The ISA-evaluation stats (paper §4), the next-block predictor study
+ * (Fig. 7), and the ideal-machine limit study (Fig. 10) are all
+ * consumers of this committed-block stream.
  */
 
 #ifndef TRIPSIM_TRIPS_FUNC_SIM_HH
@@ -22,7 +25,6 @@
 
 #include <array>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "isa/program.hh"
@@ -54,7 +56,15 @@ struct FiredOp
     bool nullToken = false;  ///< produced/propagated a null token
 };
 
-/** Dynamic record of one committed block. */
+/**
+ * Dynamic record of one committed block.
+ *
+ * Observer contract: `fired` lists every instruction that fired exactly
+ * once, in schedule order — a topological order of the block's dataflow
+ * in which every instruction producer precedes its consumers and memory
+ * operations appear in (LSID, slot) order. Nothing else about the order
+ * is promised.
+ */
 struct BlockRecord
 {
     u32 blockIdx = 0;
@@ -64,7 +74,7 @@ struct BlockRecord
     bool isRet = false;
     bool halts = false;
     u16 branchInst = 0;          ///< slot of the firing branch
-    std::vector<FiredOp> fired;  ///< in fire order
+    std::vector<FiredOp> fired;  ///< in schedule order (see above)
     /** Per write slot: producing inst (or PROD_NONE) and nullness. */
     std::vector<i16> writeProducer;
     std::vector<bool> writeIsNull;
@@ -119,28 +129,14 @@ struct Checkpoint;
 struct DecodedBlock;
 class DecodedProgram;
 
-/**
- * Execution-engine selection. Both engines are architecturally
- * bit-identical (retVal, memory, ISA stats, committed blocks); the
- * legacy interpreter stays compiled and reachable as the bit-identity
- * reference for the pre-decoded fast path (see predecode.hh).
- */
-enum class FuncEngine : u8 {
-    Legacy,      ///< per-instance token-scatter interpreter
-    Predecoded,  ///< pre-decoded threaded-code fast path (default)
-};
-
 class FuncSim
 {
   public:
     /** Register holding the architectural return value by convention. */
     static constexpr unsigned RETVAL_REG = 3;
 
-    FuncSim(const isa::Program &prog, MemImage &mem,
-            FuncEngine engine = FuncEngine::Predecoded);
+    FuncSim(const isa::Program &prog, MemImage &mem);
     ~FuncSim();
-
-    FuncEngine engine() const { return engineSel; }
 
     /** Attach an observer of committed blocks (not owned). */
     void addObserver(BlockObserver *obs) { observers.push_back(obs); }
@@ -183,21 +179,20 @@ class FuncSim
     const std::array<u64, isa::NUM_REGS> &regs() const { return regfile; }
 
     /**
-     * Decoded-block cache accounting (predecoded engine; all zero
-     * under the legacy engine). Deliberately *not* part of IsaStats:
-     * the two engines must produce byte-identical stats, and cache
-     * footprint is a property of the engine, not the program.
+     * Decoded-block cache accounting. Deliberately *not* part of
+     * IsaStats: cache footprint is a property of the engine, not the
+     * program.
      */
     u64 decodedBlocks() const;
     u64 decodedBytes() const;
-    /** Blocks with no static schedule (legacy-interpreter fallback). */
-    u64 decodedFallbacks() const;
+    /** Always 0: every validated block decodes (kept for existing
+     *  callers). */
+    u64 decodedFallbacks() const { return 0; }
 
   private:
-    struct BlockMeta;
     struct Scratch;
 
-    /** Post-commit control transfer of a fast-path block instance. */
+    /** Post-commit control transfer of a block instance. */
     struct FastExit
     {
         u32 nextBlock = 0;
@@ -207,29 +202,27 @@ class FuncSim
     };
 
     /**
-     * Execute one block instance; returns the record (owned by the
-     * simulator and reused across blocks, so the per-block dataflow
-     * buffers are allocated once, not per block).
-     */
-    BlockRecord &executeBlock(u32 bidx);
-
-    /**
-     * Pre-decoded fast path: one indexed walk over the block's static
-     * fire schedule. Used only when no observer is attached and the
-     * block is decodable (see predecode.hh); architecturally and
-     * statistically bit-identical to executeBlock().
+     * Execute one block instance: one indexed walk over the block's
+     * static fire schedule (see predecode.hh). The walk's result and
+     * state arrays stay in the scratch buffers until the next call.
      */
     FastExit executeBlockFast(u32 bidx, DecodedBlock &d);
-    const BlockMeta &meta(u32 bidx);
+
+    /**
+     * Fill the reused committed-block record of the instance
+     * executeBlockFast() just ran, from its result/state arrays. The
+     * record is owned by the simulator and reused across blocks, so
+     * observed runs allocate nothing per block in steady state.
+     */
+    BlockRecord &fillRecord(u32 bidx, const DecodedBlock &d,
+                            const FastExit &fx);
 
     const isa::Program &prog;
     MemImage &mem;
     std::array<u64, isa::NUM_REGS> regfile{};
     std::vector<u32> callStack;
     std::vector<BlockObserver *> observers;
-    std::vector<std::optional<BlockMeta>> metas;
     std::unique_ptr<Scratch> scratch;
-    FuncEngine engineSel;
     std::unique_ptr<DecodedProgram> decoded;
     BlockRecord workRec;
     IsaStats stats;

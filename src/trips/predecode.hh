@@ -2,22 +2,18 @@
  * @file
  * Pre-decoded threaded-code representation of TRIPS blocks.
  *
- * The legacy functional simulator re-interprets every block instance
- * through a token-scatter loop: each fired instruction pushes its
- * consumers onto a ready queue, consumers are re-examined once per
- * delivered token, and memory operations poll a separate LSID queue.
- * That dynamic discovery work is identical for every instance of the
- * same (immutable) block, so it can be done once.
- *
- * decodeBlock() lowers a block into a dense threaded-code record built
+ * A block is immutable after compilation, so the work of discovering
+ * which instruction can fire next, and which producer feeds each
+ * operand, is the same for every dynamic instance. decodeBlock() does
+ * it once and lowers the block into a dense threaded-code record built
  * around two ideas:
  *
  *   1. A topological fire schedule over the combined dataflow +
- *      LSID-chain graph, with instructions *renumbered into schedule
- *      order*: execution is one sequential walk, and by the time an
- *      instruction is visited every producer that can ever feed it has
- *      already fired, so "token never arrives" becomes "producer did
- *      not fire" — a plain array lookup.
+ *      LSID-chain graph (isa::fireSchedule), with instructions
+ *      *renumbered into schedule order*: execution is one sequential
+ *      walk, and by the time an instruction is visited every producer
+ *      that can ever feed it has already fired, so "token never
+ *      arrives" becomes "producer did not fire" — a plain array lookup.
  *
  *   2. Pull dataflow: instead of scattering produced tokens to
  *      consumers, every operand/predicate slot is resolved at decode
@@ -26,10 +22,9 @@
  *      header reads (n..n+numReads-1), a dedicated always-empty slot
  *      for unproducible operands, or a merge list when several
  *      predicated producers statically target one slot (scan for the
- *      one that fired; two firing is the same malformed-program panic
- *      the legacy engine raises on double delivery). Steady-state
- *      execution therefore writes one result word and one state byte
- *      per instruction and never materializes tokens at all.
+ *      one that fired; two firing is a malformed-program panic).
+ *      Steady-state execution therefore writes one result word and one
+ *      state byte per instruction and never materializes tokens at all.
  *
  * Each instruction is one packed 24-byte DecInst (predicate mode,
  * materialized immediate, memory width, LSID, operand SrcRefs, and a
@@ -41,12 +36,11 @@
  * very few distinct patterns per block, so it is memoized in a small
  * set-associative table keyed by those bytes.
  *
- * Blocks whose combined graph is cyclic (a later-LSID memory op
- * feeding an earlier one, or a dataflow cycle), or that statically
- * double-deliver from header reads, have no static schedule; they are
- * marked !usable and the simulator falls back to the legacy
- * interpreter for exactly those blocks, preserving its behavior
- * (including the completion panic) bit for bit.
+ * Every validated block decodes: isa::validateBlock rejects the blocks
+ * that have no static schedule (a dataflow cycle, a later-LSID memory
+ * op feeding an earlier one, two header reads delivering to one slot).
+ * decodeBlock() on an unvalidated block without one throws
+ * TripsError{Internal}.
  *
  * DecodedProgram is the per-Program decoded-block cache (the analogue
  * of the cycle-level InstMeta cache): blocks decode lazily on first
@@ -141,12 +135,9 @@ struct StatsDelta
     u32 loadsExecuted = 0, storesCommitted = 0, writesCommitted = 0;
 };
 
-/** A block decoded for the fast engine (see file comment). */
+/** A block decoded for the threaded engine (see file comment). */
 struct DecodedBlock
 {
-    /** A static fire schedule exists (the combined graph is acyclic
-     *  and no slot is statically double-delivered by reads). */
-    bool usable = false;
     u16 n = 0;           ///< compute instructions
     u16 numReads = 0;
     u16 numWrites = 0;
@@ -164,8 +155,7 @@ struct DecodedBlock
 
     /** Every SRC_MERGE ref in the block (operand, predicate, or write
      *  slot). The engine re-resolves each after the walk so a doubly
-     *  delivered slot panics even when its consumer never fired —
-     *  exactly the legacy engine's delivery-time safety net. */
+     *  delivered slot panics even when its consumer never fired. */
     std::vector<SrcRef> mergeRefs;
 
     std::vector<u8> readReg;       ///< register per header read slot
@@ -176,6 +166,10 @@ struct DecodedBlock
     // branch per instance touches them).
     std::vector<i32> targetBlock;  ///< branch destination (BRO/CALLO)
     std::vector<i32> returnBlock;  ///< continuation block (CALLO)
+
+    /** Block slot of each schedule position (cold: read only when an
+     *  observer needs the committed-block record). */
+    std::vector<u16> orig;
 
     /**
      * Direct-mapped stats-delta memo. Key = the instance's raw
@@ -194,7 +188,9 @@ struct DecodedBlock
     u64 bytes() const;
 };
 
-/** Decode one block (pure function of the immutable block). */
+/** Decode one block (pure function of the immutable block). Throws
+ *  TripsError{Internal} if the block has no static fire schedule,
+ *  which isa::validateBlock rules out for every finalized program. */
 DecodedBlock decodeBlock(const isa::Block &b);
 
 /** Lazy per-Program cache of decoded blocks. */
@@ -218,8 +214,6 @@ class DecodedProgram
     // Cache accounting.
     u64 blocksDecoded() const { return decoded_; }
     u64 bytes() const { return bytes_; }
-    /** Blocks with no static schedule (legacy-interpreter fallback). */
-    u64 fallbackBlocks() const { return fallback_; }
 
   private:
     void decode(u32 idx);
@@ -228,7 +222,6 @@ class DecodedProgram
     std::vector<std::unique_ptr<DecodedBlock>> blocks_;
     u64 decoded_ = 0;
     u64 bytes_ = 0;
-    u64 fallback_ = 0;
 };
 
 } // namespace trips::sim

@@ -173,6 +173,124 @@ TEST(IsaBlock, ValidatorCatchesEtOverflow)
     EXPECT_NE(err.find("reservation"), std::string::npos) << err;
 }
 
+namespace {
+
+/** Smallest valid block: GENS feeding the lone write, plus RET. */
+Block
+trivialBlock()
+{
+    Block b;
+    b.label = "triv";
+    Instruction gens;
+    gens.op = Opcode::GENS;
+    gens.imm = 7;
+    gens.targets[0] = {Target::Kind::Write, 0};
+    b.insts.push_back(gens);
+    Instruction ret;
+    ret.op = Opcode::RET;
+    b.insts.push_back(ret);
+    b.writes.push_back(WriteInst{3});
+    return b;
+}
+
+} // namespace
+
+TEST(IsaBlock, ValidatorCatchesDataflowCycle)
+{
+    // Two MOVs feeding each other: every operand has a producer, but
+    // no static fire schedule exists.
+    Block b = trivialBlock();
+    ASSERT_EQ(validateBlock(b), "");
+    Instruction m0, m1;
+    m0.op = Opcode::MOV;
+    m1.op = Opcode::MOV;
+    m0.targets[0] = {Target::Kind::Op0, 3}; // m1's slot
+    m1.targets[0] = {Target::Kind::Op0, 2}; // m0's slot
+    b.insts.push_back(m0);
+    b.insts.push_back(m1);
+    auto err = validateBlock(b);
+    EXPECT_NE(err.find("fire schedule"), std::string::npos) << err;
+    EXPECT_LT(fireSchedule(b).size(), b.insts.size());
+}
+
+TEST(IsaBlock, ValidatorCatchesLsidOrderCycle)
+{
+    // A later-LSID load feeding the address of an earlier-LSID store:
+    // the LSID chain orders store before load, the dataflow edge
+    // orders load before store.
+    Block b;
+    b.label = "lsidcycle";
+    Instruction addr;
+    addr.op = Opcode::GENS;
+    addr.imm = 64;
+    addr.targets[0] = {Target::Kind::Op0, 1}; // load address
+    b.insts.push_back(addr);
+    Instruction ld;
+    ld.op = Opcode::LD;
+    ld.lsid = 1;
+    ld.targets[0] = {Target::Kind::Op0, 2}; // store address
+    b.insts.push_back(ld);
+    Instruction st;
+    st.op = Opcode::SD;
+    st.lsid = 0;
+    b.insts.push_back(st);
+    Instruction val;
+    val.op = Opcode::GENS;
+    val.imm = 1;
+    val.targets[0] = {Target::Kind::Op1, 2}; // store value
+    b.insts.push_back(val);
+    Instruction ret;
+    ret.op = Opcode::RET;
+    b.insts.push_back(ret);
+    b.storeMask = 1u << 0;
+    auto err = validateBlock(b);
+    EXPECT_NE(err.find("fire schedule"), std::string::npos) << err;
+
+    // Swapping the LSIDs makes the load issue first: valid.
+    b.insts[1].lsid = 0;
+    b.insts[2].lsid = 1;
+    b.storeMask = 1u << 1;
+    EXPECT_EQ(validateBlock(b), "");
+    EXPECT_EQ(fireSchedule(b).size(), b.insts.size());
+}
+
+TEST(IsaBlock, ValidatorCatchesTwoReadsIntoOneSlot)
+{
+    // Header reads deliver on every instance, so two of them into one
+    // operand is a double delivery no predicate can avoid.
+    Block b;
+    b.label = "tworeads";
+    Instruction mov;
+    mov.op = Opcode::MOV;
+    mov.targets[0] = {Target::Kind::Write, 0};
+    b.insts.push_back(mov);
+    Instruction ret;
+    ret.op = Opcode::RET;
+    b.insts.push_back(ret);
+    b.writes.push_back(WriteInst{3});
+    ReadInst r;
+    r.reg = 4;
+    r.targets[0] = {Target::Kind::Op0, 0};
+    b.reads.push_back(r);
+    ASSERT_EQ(validateBlock(b), "");
+
+    r.reg = 5;
+    b.reads.push_back(r);
+    auto err = validateBlock(b);
+    EXPECT_NE(err.find("two header-read deliveries"), std::string::npos)
+        << err;
+
+    // Also one read's two targets into a write slot.
+    b.reads.pop_back();
+    ReadInst w;
+    w.reg = 6;
+    w.targets[0] = {Target::Kind::Write, 0};
+    w.targets[1] = {Target::Kind::Write, 0};
+    b.reads.push_back(w);
+    err = validateBlock(b);
+    EXPECT_NE(err.find("write slot 0"), std::string::npos) << err;
+}
+
 TEST(IsaProgram, AddressesAndCodeBytes)
 {
     Program p;

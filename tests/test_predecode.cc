@@ -1,262 +1,358 @@
 /**
  * @file
- * Engine-equivalence suite for the pre-decoded threaded-code
- * functional engine (src/trips/predecode.hh): the fast engine must be
- * architecturally *bit-identical* to the legacy token-scatter
- * interpreter — retVal, final memory image, serialized ISA stats,
- * committed-block count, and the full BlockObserver record stream —
- * on every registered workload under both compiler presets, across a
- * differential fuzz slice, and through checkpoints that cross engines
- * in both directions. Plus unit tests of decodeBlock itself (cyclic
- * blocks must fall back) and the decoded-block cache accounting.
+ * Golden-digest suite for the functional engine (src/trips/func_sim.*,
+ * src/trips/predecode.*). The digests below were captured from the
+ * token-scatter interpreter the pre-decoded engine replaced: per
+ * workload and compiler preset, the retVal, committed blocks, the
+ * serialized ISA stats, the final data segment, and the observer
+ * record stream (each record's fired set sorted by slot, since the
+ * fire order itself is only promised up to the observer contract).
+ * One aggregate digest covers a differential fuzz slice. Also: the
+ * observer contract on generated programs, decodeBlock unit tests, and
+ * the decoded-block cache accounting.
  */
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "compiler/codegen.hh"
 #include "harness/fuzzgen.hh"
 #include "harness/sweep.hh"
+#include "ideal/ideal.hh"
 #include "sim/checkpoint.hh"
+#include "support/error.hh"
 #include "trips/func_sim.hh"
 #include "trips/predecode.hh"
 #include "wir/interp.hh"
 #include "workloads/workload.hh"
 
-#include "testutil.hh"
-
 using namespace trips;
 
 namespace {
 
-std::vector<u8>
-isaBytes(const sim::IsaStats &s)
+/** FNV-1a over little-endian fields. */
+struct Digest
 {
-    sim::ByteWriter w;
-    sim::putIsaStats(w, s);
-    return w.data();
-}
+    u64 h = 0xcbf29ce484222325ull;
 
-/** One engine's complete architectural outcome for a program. */
-struct EngineRun
+    void
+    put(u64 v, int bytes)
+    {
+        for (int i = 0; i < bytes; ++i)
+            h = (h ^ static_cast<u8>(v >> (8 * i))) * 0x100000001b3ull;
+    }
+};
+
+/** Digests the observer stream, each record's fired set in slot order. */
+class DigestObserver : public sim::BlockObserver
+{
+  public:
+    void
+    onBlockCommit(const isa::Block &, const sim::BlockRecord &rec) override
+    {
+        d.put(rec.blockIdx, 4);
+        d.put(rec.nextBlock, 4);
+        d.put(rec.exitTaken, 1);
+        d.put(rec.isCall, 1);
+        d.put(rec.isRet, 1);
+        d.put(rec.halts, 1);
+        d.put(rec.branchInst, 2);
+        fired = rec.fired;
+        std::sort(fired.begin(), fired.end(),
+                  [](const sim::FiredOp &a, const sim::FiredOp &b) {
+                      return a.inst < b.inst;
+                  });
+        d.put(fired.size(), 4);
+        for (const auto &f : fired) {
+            d.put(f.inst, 2);
+            d.put(static_cast<u16>(f.prodOp0), 2);
+            d.put(static_cast<u16>(f.prodOp1), 2);
+            d.put(static_cast<u16>(f.prodPred), 2);
+            d.put(f.addr, 8);
+            d.put(f.width, 1);
+            d.put(f.nullToken, 1);
+        }
+        d.put(rec.writeProducer.size(), 4);
+        for (size_t w = 0; w < rec.writeProducer.size(); ++w) {
+            d.put(static_cast<u16>(rec.writeProducer[w]), 2);
+            d.put(rec.writeIsNull[w], 1);
+        }
+    }
+
+    Digest d;
+
+  private:
+    std::vector<sim::FiredOp> fired;
+};
+
+/** One program's functional outcome, reduced to digests. */
+struct Outcome
 {
     i64 retVal = 0;
     u64 blocks = 0;
     bool fuelExhausted = false;
-    std::vector<u8> stats;
+    u64 isa = 0;  ///< putIsaStats bytes
+    u64 mem = 0;  ///< final data segment
+    u64 obs = 0;  ///< observer stream
+};
+
+Outcome
+runDigests(const isa::Program &prog, const wir::Module &mod)
+{
+    Outcome o;
     MemImage mem;
+    wir::Interp::loadGlobals(mod, mem);
+    sim::FuncSim fsim(prog, mem);
+    auto res = fsim.run();
+    o.retVal = res.retVal;
+    o.blocks = fsim.blocksExecuted();
+    o.fuelExhausted = res.fuelExhausted;
+    sim::ByteWriter w;
+    sim::putIsaStats(w, res.stats);
+    Digest isa;
+    for (u8 b : w.data())
+        isa.put(b, 1);
+    o.isa = isa.h;
+    Digest data;
+    for (const auto &g : mod.globals) {
+        for (u64 i = 0; i < g.size; ++i)
+            data.put(mem.read8(g.addr + i), 1);
+    }
+    o.mem = data.h;
+
+    // The same program observed: the record stream, and no change to
+    // the architectural outcome.
+    MemImage omem;
+    wir::Interp::loadGlobals(mod, omem);
+    sim::FuncSim observed(prog, omem);
+    DigestObserver obs;
+    observed.addObserver(&obs);
+    auto ores = observed.run();
+    EXPECT_EQ(ores.retVal, res.retVal);
+    sim::ByteWriter ow;
+    sim::putIsaStats(ow, ores.stats);
+    EXPECT_EQ(ow.data(), w.data()) << "observing changed the ISA stats";
+    o.obs = obs.d.h;
+    return o;
+}
+
+// ---------------------------------------------------------------------
+// Every workload, both presets: pinned outcomes.
+// ---------------------------------------------------------------------
+
+struct Golden
+{
+    const char *workload;
+    bool hand;
+    i64 retVal;
+    u64 blocks;
+    u64 isa, mem, obs;
 };
 
-EngineRun
-runEngine(const isa::Program &prog, const wir::Module &mod,
-          sim::FuncEngine engine, u64 fuel = 50'000'000)
-{
-    EngineRun r;
-    wir::Interp::loadGlobals(mod, r.mem);
-    sim::FuncSim fsim(prog, r.mem, engine);
-    auto res = fsim.run(fuel);
-    r.retVal = res.retVal;
-    r.blocks = fsim.blocksExecuted();
-    r.fuelExhausted = res.fuelExhausted;
-    r.stats = isaBytes(res.stats);
-    return r;
-}
-
-/** Assert the two engines produced byte-identical outcomes. */
-void
-expectIdentical(const EngineRun &legacy, const EngineRun &fast,
-                const std::string &what)
-{
-    EXPECT_EQ(legacy.retVal, fast.retVal) << what;
-    EXPECT_EQ(legacy.blocks, fast.blocks) << what;
-    EXPECT_EQ(legacy.fuelExhausted, fast.fuelExhausted) << what;
-    EXPECT_EQ(legacy.stats, fast.stats) << what << ": ISA stats differ";
-    EXPECT_EQ("", sim::diffMemImages(legacy.mem, fast.mem, what.c_str()));
-}
-
-// ---------------------------------------------------------------------
-// Every workload, both presets: full architectural byte-identity.
-// ---------------------------------------------------------------------
-
-TEST(PredecodeEquiv, AllWorkloadsBothPresets)
-{
-    unsigned checked = 0;
-    for (const auto &w : workloads::all()) {
-        wir::Module mod;
-        w.build(mod);
-        struct
-        {
-            const char *name;
-            compiler::Options opts;
-            bool enabled;
-        } presets[] = {
-            {"compiled", compiler::Options::compiled(), true},
-            {"hand", compiler::Options::hand(), w.isSimple},
-        };
-        for (const auto &p : presets) {
-            if (!p.enabled)
-                continue;
-            auto prog = compiler::compileToTrips(mod, p.opts);
-            auto legacy =
-                runEngine(prog, mod, sim::FuncEngine::Legacy);
-            auto fast =
-                runEngine(prog, mod, sim::FuncEngine::Predecoded);
-            expectIdentical(legacy, fast,
-                            w.name + "/" + p.name);
-            ++checked;
-        }
-    }
-    // The registry must not silently shrink under this suite.
-    EXPECT_GE(checked, workloads::all().size());
-}
-
-// ---------------------------------------------------------------------
-// Observer stream: with an observer attached the fast engine must
-// deliver exactly the legacy record stream (it is the input to the
-// Fig. 7/10 studies, so "roughly equal" is not enough).
-// ---------------------------------------------------------------------
-
-/** Serializes every committed-block record into one byte stream. */
-class RecordingObserver : public sim::BlockObserver
-{
-  public:
-    void onBlockCommit(const isa::Block &, const sim::BlockRecord &rec)
-        override
-    {
-        put32(rec.blockIdx);
-        put32(rec.nextBlock);
-        bytes.push_back(rec.exitTaken);
-        bytes.push_back(rec.isCall);
-        bytes.push_back(rec.isRet);
-        bytes.push_back(rec.halts);
-        put32(rec.branchInst);
-        put32(static_cast<u32>(rec.fired.size()));
-        for (const auto &f : rec.fired) {
-            put32(f.inst);
-            put32(static_cast<u32>(f.prodOp0));
-            put32(static_cast<u32>(f.prodOp1));
-            put32(static_cast<u32>(f.prodPred));
-            put32(static_cast<u32>(f.addr));
-            bytes.push_back(f.width);
-            bytes.push_back(f.nullToken);
-        }
-        put32(static_cast<u32>(rec.writeProducer.size()));
-        for (size_t i = 0; i < rec.writeProducer.size(); ++i) {
-            put32(static_cast<u32>(rec.writeProducer[i]));
-            bytes.push_back(rec.writeIsNull[i]);
-        }
-    }
-
-    std::vector<u8> bytes;
-
-  private:
-    void put32(u32 v)
-    {
-        for (int i = 0; i < 4; ++i)
-            bytes.push_back(static_cast<u8>(v >> (8 * i)));
-    }
+const Golden kGolden[] = {
+    {"vadd", false, 9, 2050, 0xfcc4d84e8a906460ull, 0x2210c2c70b41bd36ull, 0xae169603b6839ba2ull},
+    {"vadd", true, 9, 1538, 0x7dbb9b3359574052ull, 0x2210c2c70b41bd36ull, 0xce1adfaf9794d6e8ull},
+    {"ct", false, -995, 1177, 0x5e5f109726d2d854ull, 0x18526d931f96beddull, 0x10ec785b3c32ee9bull},
+    {"ct", true, -995, 897, 0xf01f699b1daa76e7ull, 0x18526d931f96beddull, 0xf096ffbfe8b8a9e3ull},
+    {"conv", false, -133, 30721, 0x770712f294631bdcull, 0xdaa160e94a27ade0ull, 0xca9d5e8878b63b8bull},
+    {"conv", true, -133, 18433, 0x109ac5b978ce0972ull, 0xdaa160e94a27ade0ull, 0xb30f09da60e030cbull},
+    {"matrix", false, 10, 35241, 0xafcb25c57cb76584ull, 0x9c8b50e7dde55f81ull, 0xe47e48ac45497e97ull},
+    {"matrix", true, 10, 25641, 0xdd7e33f8892547c1ull, 0x9c8b50e7dde55f81ull, 0xdad2a35404e840f7ull},
+    {"fmradio", false, 49359941, 19976, 0xb9bcf661d6ade408ull, 0x5ad01531c68487a7ull, 0x2883f0ee47e74b94ull},
+    {"fmradio", true, 49359941, 13318, 0xa6ddfa8f2391a57aull, 0x5ad01531c68487a7ull, 0x36e40dd8f96dcab2ull},
+    {"802.11a", false, 9150697957434780806, 4783, 0x27503d77798c654eull, 0x7c1339f17d469bc7ull, 0x8930dc42c24d1d5aull},
+    {"802.11a", true, 9150697957434780806, 4099, 0xf697241f71eae08eull, 0x7c1339f17d469bc7ull, 0xbb751644ac5fa803ull},
+    {"8b10b", false, 4, 8193, 0x8177f90f9287690bull, 0x504a46e0a3010b41ull, 0x81541f66a29fd30full},
+    {"8b10b", true, 4, 4097, 0x39e37ae86372ec7cull, 0x504a46e0a3010b41ull, 0xbed494342aa65b29ull},
+    {"a2time", false, 5148, 4097, 0x9a9a31ab6305717dull, 0xc56610474d62c5efull, 0x87ac4f0cdcf0488bull},
+    {"a2time", true, 5148, 4097, 0x9a9a31ab6305717dull, 0xc56610474d62c5efull, 0x87ac4f0cdcf0488bull},
+    {"rspeed", false, 3096, 4097, 0x72f559d7540f1965ull, 0xeadeb65d989fe877ull, 0xc235a75b9a010268ull},
+    {"rspeed", true, 3096, 8173, 0xfa49b01700382d04ull, 0xeadeb65d989fe877ull, 0xea20b33379578ef7ull},
+    {"ospf", false, 1200, 2476, 0x07653718c17e1e61ull, 0x1f558d8c1e64b331ull, 0x7e4de584bea1345cull},
+    {"ospf", true, 1200, 3248, 0x74a43e539fe721c8ull, 0x1f558d8c1e64b331ull, 0x2e3b129b43432f79ull},
+    {"routelookup", false, 453519, 6903, 0xbbdca7f0da403f84ull, 0x2c13d74e8e6b7323ull, 0xbb661c5326deee02ull},
+    {"routelookup", true, 453519, 6889, 0xbfa9c05ec79b1f15ull, 0x2c13d74e8e6b7323ull, 0xd2b04666e389df4cull},
+    {"autocor", false, -13996716, 16417, 0x697cfb48b933b5c7ull, 0x2e7df362699e7cb1ull, 0x127cae23efc4293eull},
+    {"autocor", true, -13996716, 10961, 0x97d3fecbbfa0516bull, 0x2e7df362699e7cb1ull, 0x9d95f3f613ec3d6aull},
+    {"conven", false, -7283794184174951865, 8193, 0x4712a4d12527e006ull, 0x30d5291e5ac7772eull, 0x93dabd573e47f571ull},
+    {"conven", true, -7283794184174951865, 8193, 0x4712a4d12527e006ull, 0x30d5291e5ac7772eull, 0x93dabd573e47f571ull},
+    {"fbital", false, 1400, 1865, 0xa7ebb6ac5787b8a2ull, 0x232f44d83b2ee190ull, 0xeceaefd7fb59ed3full},
+    {"fbital", true, 1400, 2600, 0x7d8555c5c3224791ull, 0x232f44d83b2ee190ull, 0xc53fc20f486cf68aull},
+    {"fft", false, -1419, 4232, 0xcf39aeff42ba211dull, 0x47234b48aaea124aull, 0x0b02f7b432caeddcull},
+    {"fft", true, -1419, 4735, 0x3f5c584a5149cd8dull, 0x47234b48aaea124aull, 0x97c8128b082abd8aull},
+    {"bitmnp", false, 124097, 16385, 0xd32268e90678b8f6ull, 0xf0eee1c46062dd7bull, 0xa34300de093e3068ull},
+    {"idctrn", false, -44, 25153, 0x01c495f3fcc520b8ull, 0x2877851c6ffd90cbull, 0x56152fc5036c293cull},
+    {"bzip2", false, 13208, 81980, 0xf8a2ed8587af4d13ull, 0xf547ad5e570ea36dull, 0xb3b6611375c7f02dull},
+    {"crafty", false, 398220, 8193, 0x7c6dacf1f6046a89ull, 0x5d3ca838d366e0b1ull, 0xe16b4fb37eea7e9eull},
+    {"gcc", false, 4032, 98317, 0xb3dbac747b5a3e74ull, 0xdeb178b0a04262aeull, 0x04283fd97ca08aa6ull},
+    {"gzip", false, 3324, 15586, 0x1df3af4f1237b754ull, 0xb46fb167a68001e7ull, 0x67130c30031eb7e1ull},
+    {"mcf", false, 1279, 20620, 0xeb80cee4d2003edeull, 0xb37736840ee6236dull, 0xea0e59fa5f7cd433ull},
+    {"parser", false, 7, 54273, 0x4720df1e06859411ull, 0x7998e0391b451a78ull, 0xea90b35da48008f3ull},
+    {"perlbmk", false, 1347093, 61337, 0xca1b7e4c8cd1ad7aull, 0xba186f2a1aaf8adbull, 0x8f06d184f169a62dull},
+    {"twolf", false, -6835872, 20442, 0x17afd3221ffd6dbcull, 0x9065aad16bb73af4ull, 0x943f9332902e0bbcull},
+    {"vortex", false, 6377, 28673, 0x4fc11c99ae0feac8ull, 0xa1469db3dbdfd6f0ull, 0x2f014d6b013b0575ull},
+    {"vpr", false, 2779, 11313, 0x2719030ee29f1d55ull, 0x78ab7bd30a9b257bull, 0x7f321ab4f12f1f15ull},
+    {"applu", false, 677836, 23443, 0x7edee04766f22b3full, 0x2971b534a9a5d970ull, 0x9b9ada66e313523bull},
+    {"apsi", false, 540, 17289, 0xba433abdb67b09dcull, 0x4097f1030a436121ull, 0x15ac094f602f6b0eull},
+    {"art", false, 88, 34321, 0x93c3e7900490bc91ull, 0xa6efc4386449b1d2ull, 0xfd1b2d941abb250full},
+    {"equake", false, 294122, 79885, 0xee90f49c042b6b82ull, 0x03f6615b53724dbeull, 0x65849475b8df0d55ull},
+    {"mesa", false, 1838, 9528, 0x723d96d445f8d39bull, 0x8b49a55bb4db32e2ull, 0x7c11f89aa00e9f91ull},
+    {"mgrid", false, 251333, 26371, 0x4c98562fe21af931ull, 0xe1d74fc1afe33b85ull, 0x5e1d580045887584ull},
+    {"swim", false, 50630, 23444, 0xbb24adc07d83bf6dull, 0x0006742f38591c75ull, 0xca53ca4b2a823d84ull},
+    {"wupwise", false, -112, 8441, 0x818ebfb1d858d4ecull, 0xbee5442785d4d3e0ull, 0x034b110646db5a4aull},
+    {"axpy", false, 916, 1368, 0x0a042d2de16e485full, 0x637c44a394000b77ull, 0x5d4d88de4f24578bull},
+    {"axpy_unroll", false, 916, 1025, 0x2ada04c4e0573426ull, 0x637c44a394000b77ull, 0x3382e1fdd83388c5ull},
+    {"dot", false, 508, 1368, 0x3ffee4089b153e29ull, 0x4e59eb945dffc089ull, 0xc5c429f677b15e68ull},
+    {"dot_unroll", false, 508, 1025, 0x74be6fb1e45af64cull, 0x4e59eb945dffc089ull, 0x2e549488365932a6ull},
+    {"gemv", false, -929, 1249, 0xa9e66afbb5ecd66full, 0x437239a750762ecaull, 0x913254fab9cddfb5ull},
+    {"gemv_tiled", false, -929, 589, 0xe58bed64365268cfull, 0x437239a750762ecaull, 0x7e23e558b8fcc18dull},
+    {"matmul", false, 266, 8089, 0x8ecceeac453e49dfull, 0xc21686c3992ad9e1ull, 0x707afc7cf7482697ull},
+    {"matmul_tiled", false, 266, 2672, 0xb3a1df9316c3ea0cull, 0xc21686c3992ad9e1ull, 0x5170bb95f601b443ull},
+    {"matmul_tiled_unroll", false, 266, 2477, 0x1b0258fb1f9f2a7eull, 0xc21686c3992ad9e1ull, 0x57400dcd03c617a2ull},
 };
 
-TEST(PredecodeEquiv, ObserverStreamIdentical)
+TEST(FuncGolden, AllWorkloadsBothPresets)
 {
-    for (const char *name : {"autocor", "a2time", "matmul"}) {
+    // The table must cover the registry: every workload compiled, and
+    // the Simple suite hand-scheduled too.
+    size_t expected = 0;
+    for (const auto &w : workloads::all())
+        expected += w.isSimple ? 2 : 1;
+    EXPECT_EQ(std::size(kGolden), expected);
+
+    for (const Golden &g : kGolden) {
+        const std::string what =
+            std::string(g.workload) + (g.hand ? "/hand" : "/compiled");
         wir::Module mod;
-        workloads::find(name).build(mod);
+        workloads::find(g.workload).build(mod);
+        auto prog = compiler::compileToTrips(
+            mod, g.hand ? compiler::Options::hand()
+                        : compiler::Options::compiled());
+        Outcome o = runDigests(prog, mod);
+        EXPECT_FALSE(o.fuelExhausted) << what;
+        EXPECT_EQ(o.retVal, g.retVal) << what;
+        EXPECT_EQ(o.blocks, g.blocks) << what;
+        EXPECT_EQ(o.isa, g.isa) << what << ": ISA stats";
+        EXPECT_EQ(o.mem, g.mem) << what << ": data segment";
+        EXPECT_EQ(o.obs, g.obs) << what << ": observer stream";
+    }
+}
+
+// ---------------------------------------------------------------------
+// Differential fuzz slice: one aggregate digest per stream.
+// ---------------------------------------------------------------------
+
+constexpr u64 FUZZ_BASE = 0xdec0ded;
+constexpr u64 FUZZ_COUNT = 500;
+
+TEST(FuncGolden, FuzzSliceDigest)
+{
+    Digest arch, obs;
+    harness::ShapeConfig shape;
+    for (u64 i = 0; i < FUZZ_COUNT; ++i) {
+        wir::Module mod =
+            harness::generate(harness::taskSeed(FUZZ_BASE, i), shape);
         auto prog =
             compiler::compileToTrips(mod, compiler::Options::compiled());
-        std::vector<u8> streams[2];
-        i64 ret[2] = {0, 0};
-        sim::FuncEngine engines[2] = {sim::FuncEngine::Legacy,
-                                      sim::FuncEngine::Predecoded};
-        for (int e = 0; e < 2; ++e) {
-            MemImage mem;
-            wir::Interp::loadGlobals(mod, mem);
-            sim::FuncSim fsim(prog, mem, engines[e]);
-            RecordingObserver rec;
-            fsim.addObserver(&rec);
-            ret[e] = fsim.run().retVal;
-            streams[e] = std::move(rec.bytes);
-        }
-        EXPECT_EQ(ret[0], ret[1]) << name;
-        EXPECT_FALSE(streams[0].empty()) << name;
-        EXPECT_EQ(streams[0], streams[1])
-            << name << ": observer record streams differ";
+        Outcome o = runDigests(prog, mod);
+        arch.put(static_cast<u64>(o.retVal), 8);
+        arch.put(o.blocks, 8);
+        arch.put(o.fuelExhausted, 1);
+        arch.put(o.isa, 8);
+        arch.put(o.mem, 8);
+        obs.put(o.obs, 8);
     }
+    EXPECT_EQ(arch.h, 0xcc72160999bb04ebull) << "architectural outcomes";
+    EXPECT_EQ(obs.h, 0xd7c39bde187fc640ull) << "observer streams";
 }
 
 // ---------------------------------------------------------------------
-// Differential fuzz slice: generated programs, legacy vs predecoded.
+// The observer contract (func_sim.hh, BlockRecord).
 // ---------------------------------------------------------------------
 
-TEST(PredecodeEquiv, FuzzSlice)
+/** Checks every record against the contract and totals fired ops. */
+class ContractObserver : public sim::BlockObserver
 {
-    const u64 count = testutil::slowScale(500, 2000);
+  public:
+    void
+    onBlockCommit(const isa::Block &b, const sim::BlockRecord &rec) override
+    {
+        const size_t n = b.insts.size();
+        pos.assign(n, -1);
+        int lastLsid = -1, lastSlot = -1;
+        unsigned branches = 0;
+        for (size_t k = 0; k < rec.fired.size(); ++k) {
+            const sim::FiredOp &f = rec.fired[k];
+            ASSERT_LT(f.inst, n);
+            EXPECT_EQ(pos[f.inst], -1) << "slot " << f.inst << " fired twice";
+            pos[f.inst] = static_cast<int>(k);
+            for (i16 p : {f.prodOp0, f.prodOp1, f.prodPred}) {
+                if (p >= 0) {
+                    ASSERT_LT(static_cast<size_t>(p), n);
+                    EXPECT_GE(pos[p], 0)
+                        << "producer " << p << " of slot " << f.inst
+                        << " does not precede it";
+                } else if (sim::isReadProducer(p)) {
+                    EXPECT_LT(sim::readProducerIndex(p), b.reads.size());
+                }
+            }
+            const auto &in = b.insts[f.inst];
+            if (isMemory(in.op)) {
+                const int lsid = in.lsid, slot = f.inst;
+                EXPECT_TRUE(lsid > lastLsid ||
+                            (lsid == lastLsid && slot > lastSlot))
+                    << "memory ops out of (LSID, slot) order";
+                lastLsid = lsid;
+                lastSlot = slot;
+            }
+            if (isBranch(in.op)) {
+                ++branches;
+                EXPECT_EQ(f.inst, rec.branchInst);
+            }
+        }
+        EXPECT_EQ(branches, 1u);
+        ASSERT_EQ(rec.writeProducer.size(), b.writes.size());
+        for (i16 p : rec.writeProducer) {
+            if (p >= 0)
+                EXPECT_GE(pos[p], 0) << "write producer " << p
+                                     << " did not fire";
+            else
+                EXPECT_TRUE(sim::isReadProducer(p))
+                    << "committed write without a producer";
+        }
+        firedTotal += rec.fired.size();
+    }
+
+    u64 firedTotal = 0;
+
+  private:
+    std::vector<int> pos;
+};
+
+TEST(ObserverContract, FuzzSlice)
+{
     harness::ShapeConfig shape;
-    for (u64 i = 0; i < count; ++i) {
-        u64 seed = harness::taskSeed(0xdec0ded, i);
+    for (u64 i = 0; i < FUZZ_COUNT; ++i) {
+        const u64 seed = harness::taskSeed(FUZZ_BASE, i);
         wir::Module mod = harness::generate(seed, shape);
         auto prog =
             compiler::compileToTrips(mod, compiler::Options::compiled());
-        auto legacy = runEngine(prog, mod, sim::FuncEngine::Legacy);
-        auto fast = runEngine(prog, mod, sim::FuncEngine::Predecoded);
-        expectIdentical(legacy, fast, "seed " + std::to_string(seed));
+        MemImage mem;
+        wir::Interp::loadGlobals(mod, mem);
+        sim::FuncSim fsim(prog, mem);
+        ContractObserver contract;
+        ideal::IdealSim idealSim{ideal::IdealConfig{}};
+        fsim.addObserver(&contract);
+        fsim.addObserver(&idealSim);
+        auto res = fsim.run();
+        EXPECT_EQ(contract.firedTotal, res.stats.fired) << "seed " << seed;
+        EXPECT_EQ(idealSim.result().executed, res.stats.fired)
+            << "seed " << seed;
         if (HasFailure()) {
             ADD_FAILURE() << "repro: sweep_main --repro " << seed;
             break;
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Checkpoints crossing engines, both directions: a snapshot taken by
-// one engine restored into the other must finish bit-identically to
-// the uninterrupted run (resumability is engine-independent state).
-// ---------------------------------------------------------------------
-
-TEST(PredecodeEquiv, CheckpointCrossesEngines)
-{
-    wir::Module mod;
-    workloads::find("autocor").build(mod);
-    auto prog =
-        compiler::compileToTrips(mod, compiler::Options::compiled());
-    auto straight = runEngine(prog, mod, sim::FuncEngine::Legacy);
-    ASSERT_FALSE(straight.fuelExhausted);
-
-    sim::FuncEngine dirs[2][2] = {
-        {sim::FuncEngine::Legacy, sim::FuncEngine::Predecoded},
-        {sim::FuncEngine::Predecoded, sim::FuncEngine::Legacy},
-    };
-    for (const auto &d : dirs) {
-        // Walk in slices on d[0], snapshot each boundary, resume the
-        // snapshot on d[1] and demand the straight run's outcome.
-        MemImage wMem;
-        wir::Interp::loadGlobals(mod, wMem);
-        sim::FuncSim walker(prog, wMem, d[0]);
-        const u64 every = 500;
-        unsigned boundaries = 0;
-        for (unsigned k = 0; k < 5; ++k) {
-            walker.run(every);
-            if (walker.halted())
-                break;
-            sim::Checkpoint ck;
-            walker.snapshot(ck);
-            // Byte format exercised on the crossing too.
-            sim::Checkpoint rck = sim::deserializeCheckpoint(
-                sim::serializeCheckpoint(ck));
-            ++boundaries;
-
-            MemImage rMem;
-            sim::FuncSim resumed(prog, rMem, d[1]);
-            resumed.restore(rck);
-            auto rr = resumed.run();
-            ASSERT_FALSE(rr.fuelExhausted);
-            EXPECT_EQ(straight.retVal, rr.retVal);
-            EXPECT_EQ(straight.blocks, resumed.blocksExecuted());
-            EXPECT_EQ(straight.stats, isaBytes(rr.stats));
-            EXPECT_EQ("", sim::diffMemImages(straight.mem, rMem,
-                                             "crossed-engine mem"));
-        }
-        EXPECT_GE(boundaries, 2u)
-            << "workload too short to exercise engine crossing";
     }
 }
 
@@ -285,19 +381,19 @@ trivialBlock()
 TEST(PredecodeUnit, TrivialBlockDecodes)
 {
     auto d = sim::decodeBlock(trivialBlock());
-    EXPECT_TRUE(d.usable);
     ASSERT_EQ(d.n, 2);
     // Sentinel terminates the schedule.
     ASSERT_EQ(d.insts.size(), 3u);
     EXPECT_EQ(d.insts[2].handler, sim::H_DONE);
+    ASSERT_EQ(d.orig.size(), 2u);
     EXPECT_GT(d.bytes(), 0u);
 }
 
-TEST(PredecodeUnit, DataflowCycleFallsBack)
+TEST(PredecodeUnit, UnvalidatedCyclicBlockThrows)
 {
-    // Two MOVs feeding each other: no topological fire schedule
-    // exists, so the decoder must refuse and leave the legacy
-    // interpreter to raise its own diagnosis.
+    // Two MOVs feeding each other have no fire schedule. validateBlock
+    // rejects the block (test_isa.cc); decoding it anyway is an
+    // internal error, never a silent fallback.
     isa::Block b = trivialBlock();
     isa::Instruction m0, m1;
     m0.op = isa::Opcode::MOV;
@@ -306,47 +402,16 @@ TEST(PredecodeUnit, DataflowCycleFallsBack)
     m1.targets[0] = {isa::Target::Kind::Op0, 2}; // m0's slot
     b.insts.push_back(m0);
     b.insts.push_back(m1);
-    auto d = sim::decodeBlock(b);
-    EXPECT_FALSE(d.usable);
-}
-
-TEST(PredecodeUnit, LsidOrderCycleFallsBack)
-{
-    // A later-LSID load feeding the address of an earlier-LSID store:
-    // the LSID chain orders store before load, the dataflow edge
-    // orders load before store — combined graph is cyclic.
-    isa::Block b;
-    b.label = "lsidcycle";
-    isa::Instruction addr;
-    addr.op = isa::Opcode::GENS;
-    addr.imm = 64;
-    addr.targets[0] = {isa::Target::Kind::Op0, 1}; // load address
-    b.insts.push_back(addr);
-    isa::Instruction ld;
-    ld.op = isa::Opcode::LD;
-    ld.lsid = 1;
-    ld.targets[0] = {isa::Target::Kind::Op0, 2}; // store address
-    b.insts.push_back(ld);
-    isa::Instruction st;
-    st.op = isa::Opcode::SD;
-    st.lsid = 0;
-    b.insts.push_back(st);
-    // Store value operand.
-    isa::Instruction val;
-    val.op = isa::Opcode::GENS;
-    val.imm = 1;
-    val.targets[0] = {isa::Target::Kind::Op1, 2};
-    b.insts.push_back(val);
-    isa::Instruction ret;
-    ret.op = isa::Opcode::RET;
-    b.insts.push_back(ret);
-    b.storeMask = 1u << 0;
-    auto d = sim::decodeBlock(b);
-    EXPECT_FALSE(d.usable);
+    try {
+        sim::decodeBlock(b);
+        ADD_FAILURE() << "cyclic block decoded";
+    } catch (const TripsError &e) {
+        EXPECT_EQ(e.code(), ErrCode::Internal) << e.what();
+    }
 }
 
 // ---------------------------------------------------------------------
-// Page-cache invalidation: the fast path keeps a one-entry page cache,
+// Page-cache invalidation: the engine keeps a one-entry page cache,
 // and a page-crossing store falls back to MemImage::write, which can
 // create the very page the cache recorded as absent. Sequence inside a
 // single block: load from a not-yet-resident page (caches pageR ==
@@ -389,25 +454,16 @@ TEST(PredecodeUnit, PageCrossingStoreInvalidatesPageCache)
     prog.addBlock(std::move(b));
     ASSERT_EQ("", prog.finalize());
 
-    for (auto eng :
-         {sim::FuncEngine::Legacy, sim::FuncEngine::Predecoded}) {
-        MemImage mem;
-        sim::FuncSim fsim(prog, mem, eng);
-        auto res = fsim.run();
-        EXPECT_EQ(res.retVal, -1)
-            << (eng == sim::FuncEngine::Legacy ? "legacy" : "predecoded")
-            << ": load after straddling store saw stale page cache";
-        if (eng == sim::FuncEngine::Predecoded) {
-            // The block must take the fast path for this to test it.
-            EXPECT_EQ(fsim.decodedFallbacks(), 0u);
-        }
-    }
+    MemImage mem;
+    sim::FuncSim fsim(prog, mem);
+    EXPECT_EQ(fsim.run().retVal, -1)
+        << "load after straddling store saw stale page cache";
 }
 
 // ---------------------------------------------------------------------
-// Stores and branches never deliver tokens in the legacy engine, so
-// encoded targets on them (representable in the block format, though
-// validateBlock rejects them) must not count as operand messages.
+// Stores and branches deliver no tokens, so encoded targets on them
+// (representable in the block format, though validateBlock rejects
+// them) must not count as operand messages.
 // ---------------------------------------------------------------------
 
 TEST(PredecodeUnit, StoreAndBranchTargetsCountNoOperandMessages)
@@ -443,7 +499,6 @@ TEST(PredecodeUnit, StoreAndBranchTargetsCountNoOperandMessages)
 
     // Decoder view: the anomalous targets contribute zero messages.
     auto d = sim::decodeBlock(prog.block(0));
-    ASSERT_TRUE(d.usable);
     u64 msgs = 0;
     for (u16 i = 0; i < d.n; ++i) {
         const auto cls = static_cast<isa::OpClass>(d.insts[i].cls);
@@ -454,17 +509,10 @@ TEST(PredecodeUnit, StoreAndBranchTargetsCountNoOperandMessages)
     }
     EXPECT_EQ(msgs, 3u);  // the three GENS deliveries only
 
-    // End to end: ISA stats (operandMessages included) stay
-    // byte-identical across engines.
-    std::vector<u8> stats[2];
-    int e = 0;
-    for (auto eng :
-         {sim::FuncEngine::Legacy, sim::FuncEngine::Predecoded}) {
-        MemImage mem;
-        sim::FuncSim fsim(prog, mem, eng);
-        stats[e++] = isaBytes(fsim.run().stats);
-    }
-    EXPECT_EQ(stats[0], stats[1]) << "ISA stats diverge across engines";
+    // End to end: the ISA stats count the same three messages.
+    MemImage mem;
+    sim::FuncSim fsim(prog, mem);
+    EXPECT_EQ(fsim.run().stats.operandMessages, 3u);
 }
 
 // ---------------------------------------------------------------------
@@ -480,26 +528,13 @@ TEST(PredecodeUnit, CacheAccounting)
 
     MemImage mem;
     wir::Interp::loadGlobals(mod, mem);
-    sim::FuncSim fast(prog, mem, sim::FuncEngine::Predecoded);
-    fast.run();
+    sim::FuncSim fsim(prog, mem);
+    fsim.run();
     // Lazy decode: only executed blocks are decoded, each at most once.
-    EXPECT_GT(fast.decodedBlocks(), 0u);
-    EXPECT_LE(fast.decodedBlocks(), prog.numBlocks());
-    EXPECT_GT(fast.decodedBytes(), 0u);
-    EXPECT_LE(fast.decodedFallbacks(), fast.decodedBlocks());
-    // Compiler-produced blocks all have static schedules today; a
-    // regression that starts rejecting them would silently fall back
-    // to legacy speed, so pin it.
-    EXPECT_EQ(fast.decodedFallbacks(), 0u);
-
-    MemImage lmem;
-    wir::Interp::loadGlobals(mod, lmem);
-    sim::FuncSim legacy(prog, lmem, sim::FuncEngine::Legacy);
-    legacy.run();
-    EXPECT_EQ(legacy.engine(), sim::FuncEngine::Legacy);
-    EXPECT_EQ(legacy.decodedBlocks(), 0u);
-    EXPECT_EQ(legacy.decodedBytes(), 0u);
-    EXPECT_EQ(legacy.decodedFallbacks(), 0u);
+    EXPECT_GT(fsim.decodedBlocks(), 0u);
+    EXPECT_LE(fsim.decodedBlocks(), prog.numBlocks());
+    EXPECT_GT(fsim.decodedBytes(), 0u);
+    EXPECT_EQ(fsim.decodedFallbacks(), 0u);
 }
 
 } // namespace
