@@ -199,9 +199,10 @@ class SmallVec
 };
 
 /**
- * Slab-backed object pool addressed by dense u32 handles. Objects are
- * value-initialized on alloc(); slabs (SLAB objects each) are created
- * on demand and kept forever, so a warmed-up pool never allocates.
+ * Slab-backed object pool addressed by dense u32 handles. alloc()
+ * copies its argument (default: a value-initialized T) into the slot;
+ * slabs (SLAB objects each) are created on demand and kept forever, so
+ * a warmed-up pool never allocates.
  */
 template <typename T, unsigned SLAB = 256>
 class SlabPool
@@ -222,7 +223,7 @@ class SlabPool
     }
 
     Id
-    alloc()
+    alloc(const T &init = T{})
     {
         if (freeHead == NO_FREE) {
             Id base = static_cast<Id>(slabs.size() * SLAB);
@@ -237,7 +238,7 @@ class SlabPool
         Id id = freeHead;
         Slot &s = slot(id);
         freeHead = s.nextFree;
-        s.obj = T{};
+        s.obj = init;
         ++liveCount;
         return id;
     }

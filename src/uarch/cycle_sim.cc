@@ -31,14 +31,18 @@ struct Tok
     u64 v = 0;
 };
 
-/** Per-instruction dynamic state, kept together so one token delivery
- *  (operand write + wake check) stays within a cache line or two. */
+/** Per-instruction dynamic state, packed to 32 bytes (two per cache
+ *  line) so one token delivery (operand write + wake check) touches a
+ *  single line: operand values and their token states sit in separate
+ *  arrays instead of three padded (state, value) pairs. */
 struct InstState
 {
-    std::array<Tok, 3> opnd;
+    std::array<u64, 3> v{};
+    std::array<u8, 3> st{};     ///< TOK_* per operand
     u8 istate = IS_WAITING;
     u8 dispatched = 0;
 };
+static_assert(sizeof(InstState) == 32);
 
 struct LsqEntry
 {
@@ -75,9 +79,11 @@ struct CycleSim::Frame
     u32 epoch = 0;
     u32 predictedNext = 0;
     u32 actualNext = 0;
-    Cycle fetchedAt = 0;    ///< stamp for obs block spans (write-only)
+    std::array<u64, 2> writeMask{}; ///< bm->writeMask (RT read walks)
+    const InstMeta *im = nullptr;   ///< bm->insts.data()
     const Block *blk = nullptr;
-    const InstMeta *im = nullptr;   ///< per-inst static facts (cached)
+    const BlockMeta *bm = nullptr;  ///< decoded static facts (cached)
+    Cycle fetchedAt = 0;    ///< stamp for obs block spans (write-only)
 
     unsigned dispatchedCount = 0;
     unsigned writesNeeded = 0, writesDone = 0;
@@ -85,6 +91,10 @@ struct CycleSim::Frame
     u32 storeDoneMask = 0;
     u32 lsqOrder = 0;
     unsigned firedCount = 0;
+    /** Bit per instruction that received a token before it was
+     *  dispatched: the only ones dispatch completion must re-examine. */
+    std::array<u64, 2> earlyTokens{};
+    static_assert(isa::MAX_INSTS <= 128, "earlyTokens is two u64 words");
 
     std::vector<InstState> is;
     std::vector<Tok> writeVals;
@@ -196,25 +206,52 @@ CycleSim::initCommon()
     regfile[1] = STACK_BASE;
     nextFetchBlock = prog.entry;
     retStack.reserve(64);
-    instMeta.resize(prog.numBlocks());
+    blockMeta.resize(prog.numBlocks());
 }
 
-const std::vector<CycleSim::InstMeta> &
+const CycleSim::BlockMeta &
 CycleSim::metaFor(u32 block_idx)
 {
-    auto &m = instMeta[block_idx];
-    if (!m.empty())
-        return m;
+    BlockMeta &bm = blockMeta[block_idx];
+    if (!bm.insts.empty())
+        return bm;
     const Block &blk = prog.block(block_idx);
+    auto &m = bm.insts;
     m.resize(blk.insts.size());
+    for (size_t i = 0; i < blk.insts.size(); ++i) {
+        u8 et = static_cast<u8>(
+            blk.placement.empty() ? (i % isa::NUM_ETS) : blk.placement[i]);
+        m[i].et = et;
+        m[i].etNode = static_cast<u8>(isa::opnNode(isa::etCoord(et)));
+    }
+    // Targets resolve to a destination node now, so the route path
+    // never consults the consumer's placement or the write's bank.
+    auto decode = [&](const Target (&ts)[2], unsigned src_node,
+                      RouteTarget (&out)[2]) {
+        u8 n = 0;
+        for (const Target &t : ts) {
+            if (!t.valid())
+                continue;
+            RouteTarget &rt = out[n++];
+            rt.index = t.index;
+            if (t.kind == Target::Kind::Write) {
+                rt.slot = RouteTarget::WRITE_SLOT;
+                rt.dst = static_cast<u8>(isa::opnNode(isa::rtCoord(
+                    Block::regBank(blk.writes[t.index].reg))));
+            } else {
+                rt.slot = t.kind == Target::Kind::Op0 ? 0
+                        : t.kind == Target::Kind::Op1 ? 1 : 2;
+                rt.dst = m[t.index].etNode;
+                rt.bypass = rt.dst == src_node;
+            }
+        }
+        return n;
+    };
     for (size_t i = 0; i < blk.insts.size(); ++i) {
         const Instruction &in = blk.insts[i];
         const auto &info = opInfo(in.op);
         InstMeta &im = m[i];
-        im.et = static_cast<u8>(
-            blk.placement.empty() ? (i % isa::NUM_ETS)
-                                  : blk.placement[i]);
-        im.etNode = static_cast<u8>(isa::opnNode(isa::etCoord(im.et)));
+        im.numTargets = decode(in.targets, im.etNode, im.tgt);
         im.numInputs = info.numInputs;
         im.latency = info.latency;
         im.lsid = in.lsid;
@@ -231,7 +268,17 @@ CycleSim::metaFor(u32 block_idx)
             fl |= FL_LOAD;
         im.flags = fl;
     }
-    return m;
+    bm.reads.resize(blk.reads.size());
+    for (size_t r = 0; r < blk.reads.size(); ++r) {
+        const auto &rd = blk.reads[r];
+        auto &out = bm.reads[r];
+        out.reg = rd.reg;
+        out.numTargets = decode(rd.targets,
+            isa::opnNode(isa::rtCoord(Block::regBank(rd.reg))), out.tgt);
+    }
+    for (const auto &w : blk.writes)
+        bm.writeMask[w.reg >> 6] |= u64{1} << (w.reg & 63);
+    return bm;
 }
 
 CycleSim::~CycleSim() = default;
@@ -247,19 +294,20 @@ CycleSim::frameOlder(unsigned a, unsigned b) const
 // ---------------------------------------------------------------------
 
 void
-CycleSim::pushEvent(Event ev)
+CycleSim::pushEvent(const Event &ev)
 {
-    ev.seq = ++eventSeq;
     // The wheel requires a completion at least one cycle out; clamp
     // so zero-latency UarchConfig settings degrade to next-cycle
     // completion instead of landing in an already-drained bucket.
-    if (ev.when <= now)
-        ev.when = now + 1;
-    u64 delta = ev.when - now;
-    if (delta < WHEEL_SIZE)
+    if (ev.when <= now) {
+        Event next = ev;
+        next.when = now + 1;
+        wheel[next.when & WHEEL_MASK].push_back(next);
+    } else if (ev.when - now < WHEEL_SIZE) {
         wheel[ev.when & WHEEL_MASK].push_back(ev);
-    else
-        overflow.push(ev);
+    } else {
+        overflow.push({ev, ++overflowSeq});
+    }
 }
 
 void
@@ -294,40 +342,19 @@ CycleSim::processEvent(const Event &ev)
 void
 CycleSim::drainEvents()
 {
-    // Merge the current wheel bucket (FIFO, seq-ascending by
-    // construction) with due overflow events, preserving global
-    // (when, seq) order. Events pushed while draining always land at
-    // least one cycle ahead, never in this bucket.
+    // Due overflow events first, then the bucket: that is push order.
+    // An overflow event due now was pushed at least WHEEL_SIZE cycles
+    // ago, every bucket entry less than WHEEL_SIZE cycles ago. Events
+    // pushed while draining land at least one cycle ahead, never in
+    // this bucket and never due in the heap.
+    while (!overflow.empty() && overflow.top().ev.when <= now) {
+        const Event ev = overflow.top().ev;
+        overflow.pop();
+        processEvent(ev);
+    }
     auto &bucket = wheel[now & WHEEL_MASK];
-    if (overflow.empty() || overflow.top().when > now) {
-        // Common case: nothing due in the overflow heap. Processing
-        // can push new overflow events, but those are never due this
-        // cycle, so the bucket alone is the whole drain.
-        for (size_t i = 0; i < bucket.size(); ++i) {
-            const Event ev = bucket[i];
-            processEvent(ev);
-        }
-        bucket.clear();
-        return;
-    }
-    size_t bi = 0;
-    while (true) {
-        bool have_b = bi < bucket.size();
-        bool have_o = !overflow.empty() && overflow.top().when <= now;
-        if (!have_b && !have_o)
-            break;
-        if (have_b &&
-            (!have_o || bucket[bi].seq < overflow.top().seq)) {
-            // Bucket entries are due exactly now: pushEvent asserts
-            // when > push-time now and the span keeps buckets unique.
-            const Event ev = bucket[bi++];
-            processEvent(ev);
-        } else {
-            const Event ev = overflow.top();
-            overflow.pop();
-            processEvent(ev);
-        }
-    }
+    for (size_t i = 0; i < bucket.size(); ++i)
+        processEvent(bucket[i]);
     bucket.clear();
 }
 
@@ -356,7 +383,9 @@ CycleSim::startFetch(u32 block_idx)
     f.seq = nextSeq++;
     ++f.epoch;
     f.blk = &blk;
-    f.im = metaFor(block_idx).data();
+    f.bm = &metaFor(block_idx);
+    f.im = f.bm->insts.data();
+    f.writeMask = f.bm->writeMask;
     f.is.assign(blk.insts.size(), InstState{});
     f.dispatchedCount = 0;
     f.writesNeeded = static_cast<unsigned>(blk.writes.size());
@@ -371,6 +400,7 @@ CycleSim::startFetch(u32 block_idx)
     f.branchResolved = f.retPending = f.nextKnown = false;
     f.isCall = f.isRet = f.haltsCandidate = false;
     f.firedCount = 0;
+    f.earlyTokens = {};
     f.fetchedAt = now;
 
     frameQueue.push_back(static_cast<unsigned>(slot));
@@ -438,8 +468,8 @@ CycleSim::tickDispatch()
         f.is[i].dispatched = 1;
         ++f.dispatchedCount;
         ++liveInsts;
-        const Instruction &in = f.blk->insts[i];
-        if (opInfo(in.op).numInputs == 0 && !in.predicated())
+        const InstMeta &im = f.im[i];
+        if (im.numInputs == 0 && !(im.flags & FL_PREDICATED))
             maybeWake(static_cast<unsigned>(fetchingFrame), i);
         ++dispatchCursor;
         --budget;
@@ -448,9 +478,15 @@ CycleSim::tickDispatch()
         f.st = Frame::St::Executing;
         fetchingFrame = -1;
         fetchReadyAt = now + 1;
-        // Re-examine tokens that arrived before dispatch completed.
-        for (u16 i = 0; i < f.blk->insts.size(); ++i)
-            maybeWake(frameIndexOf(f), i);
+        // Re-examine instructions whose tokens arrived before they
+        // were dispatched, in slot order; every other instruction was
+        // examined at its last token (or at dispatch if it has none).
+        for (unsigned w = 0; w < f.earlyTokens.size(); ++w) {
+            for (u64 m = f.earlyTokens[w]; m; m &= m - 1) {
+                maybeWake(frameIndexOf(f),
+                          static_cast<u16>(w * 64 + __builtin_ctzll(m)));
+            }
+        }
     }
 }
 
@@ -465,10 +501,14 @@ CycleSim::deliverToken(unsigned fidx, u16 inst, unsigned operand,
     Frame &f = frames[fidx];
     if (f.st == Frame::St::Free)
         return;
-    auto &slot = f.is[inst].opnd[operand];
-    TRIPS_ASSERT(slot.st == TOK_EMPTY, "operand received two tokens");
-    slot.st = is_null ? TOK_NULL : TOK_VALUE;
-    slot.v = value;
+    InstState &s = f.is[inst];
+    TRIPS_ASSERT(s.st[operand] == TOK_EMPTY, "operand received two tokens");
+    s.st[operand] = is_null ? TOK_NULL : TOK_VALUE;
+    s.v[operand] = value;
+    if (!s.dispatched) {
+        f.earlyTokens[inst >> 6] |= u64{1} << (inst & 63);
+        return;
+    }
     maybeWake(fidx, inst);
 }
 
@@ -476,24 +516,24 @@ void
 CycleSim::maybeWake(unsigned fidx, u16 inst)
 {
     Frame &f = frames[fidx];
-    if (!f.is[inst].dispatched || f.is[inst].istate != IS_WAITING)
+    InstState &s = f.is[inst];
+    if (!s.dispatched || s.istate != IS_WAITING)
         return;
-    const InstMeta im = f.im[inst];
+    const InstMeta &im = f.im[inst];
     if (im.flags & FL_PREDICATED) {
-        const auto &p = f.is[inst].opnd[2];
-        if (p.st == TOK_EMPTY)
+        if (s.st[2] == TOK_EMPTY)
             return;
         bool want = (im.flags & FL_PRED_ON_TRUE) != 0;
-        if (p.st == TOK_NULL || (p.v != 0) != want) {
-            f.is[inst].istate = IS_DEAD;
+        if (s.st[2] == TOK_NULL || (s.v[2] != 0) != want) {
+            s.istate = IS_DEAD;
             return;
         }
     }
     for (unsigned k = 0; k < im.numInputs; ++k) {
-        if (f.is[inst].opnd[k].st == TOK_EMPTY)
+        if (s.st[k] == TOK_EMPTY)
             return;
     }
-    f.is[inst].istate = IS_READY;
+    s.istate = IS_READY;
     etReady[im.et].push_back({fidx, f.epoch, inst});
     etReadyMask |= 1u << im.et;
 }
@@ -520,9 +560,12 @@ CycleSim::tickEts()
         u64 best_seq = ~0ULL;
         for (size_t k = 0; k < q.size(); ++k) {
             const ReadyEntry e = q[k];
-            Frame &f = frames[e.fidx];
-            if (f.st == Frame::St::Free || f.epoch != e.epoch ||
-                f.is[e.inst].istate != IS_READY)
+            const Frame &f = frames[e.fidx];
+            // A live entry's instruction is IS_READY: only issuing it
+            // (which removes the entry) or recycling the frame (a new
+            // epoch) moves it on, so the epoch test finds every stale
+            // entry.
+            if (f.st == Frame::St::Free || f.epoch != e.epoch)
                 continue;   // stale: drop
             if (f.seq < best_seq) {
                 best_seq = f.seq;
@@ -548,31 +591,31 @@ CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
 {
     Frame &f = frames[fidx];
     const Instruction &in = f.blk->insts[inst];
-    const InstMeta im = f.im[inst];
-    f.is[inst].istate = IS_ISSUED;
+    const InstMeta &im = f.im[inst];
+    InstState &s = f.is[inst];
+    s.istate = IS_ISSUED;
     unsigned lat = im.latency;
 
     if (im.flags & FL_BRANCH) {
         // Exit packet to the GT.
-        OutPacket op;
-        op.pkt.src = isa::opnNode(isa::etCoord(et));
-        op.pkt.dst = isa::opnNode(isa::gtCoord());
-        op.pkt.cls = net::OpnClass::EtGt;
+        net::OpnPacket pkt;
+        pkt.src = im.etNode;
+        pkt.dst = static_cast<u8>(isa::opnNode(isa::gtCoord()));
+        pkt.cls = net::OpnClass::EtGt;
         PacketData pd;
         pd.kind = PacketData::Kind::Branch;
         pd.fidx = fidx;
         pd.epoch = f.epoch;
         pd.inst = inst;
-        queuePacket(op, pd);
-        f.is[inst].istate = IS_FIRED;
+        queuePacket(pkt, pd);
+        s.istate = IS_FIRED;
         ++f.firedCount;
         return;
     }
 
     if (im.flags & FL_MEMORY) {
-        bool addr_null = f.is[inst].opnd[0].st == TOK_NULL;
-        Addr ea = f.is[inst].opnd[0].v +
-                  static_cast<u64>(static_cast<i64>(in.imm));
+        bool addr_null = s.st[0] == TOK_NULL;
+        Addr ea = s.v[0] + static_cast<u64>(static_cast<i64>(in.imm));
         if (im.flags & FL_LOAD) {
             if (addr_null) {
                 // Null loads complete locally.
@@ -590,17 +633,17 @@ CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
             u64 key = prog.blockAddr(f.blockIdx) + inst;
             if (depPred.shouldWait(key) && !olderStoresDone(fidx, inst)) {
                 // Retry next cycle.
-                f.is[inst].istate = IS_READY;
+                s.istate = IS_READY;
                 etReady[et].push_back({fidx, f.epoch, inst});
                 etReadyMask |= 1u << et;
                 return;
             }
             depPred.decayTick();
-            sendMemRequest(fidx, inst, et, false, ea, 0, false);
+            sendMemRequest(fidx, inst, false, ea, 0);
             return;
         }
         // Store.
-        bool val_null = f.is[inst].opnd[1].st == TOK_NULL;
+        bool val_null = s.st[1] == TOK_NULL;
         bool is_null = addr_null || val_null;
         if (is_null) {
             // Null store: completion token only.
@@ -618,24 +661,22 @@ CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
             le.executed = true;
             le.isNull = true;
             f.lsqInsert(le);
-            f.is[inst].istate = IS_FIRED;
+            s.istate = IS_FIRED;
             ++f.firedCount;
             return;
         }
-        sendMemRequest(fidx, inst, et, true, ea, f.is[inst].opnd[1].v,
-                       false);
+        sendMemRequest(fidx, inst, true, ea, s.v[1]);
         return;
     }
 
     // Plain compute.
     bool any_null = false;
     for (unsigned k = 0; k < im.numInputs; ++k)
-        any_null |= f.is[inst].opnd[k].st == TOK_NULL;
+        any_null |= s.st[k] == TOK_NULL;
     u64 value = 0;
     bool is_null = any_null || in.op == Opcode::NULLW;
     if (!is_null)
-        value = sim::evalOp(in.op, f.is[inst].opnd[0].v, f.is[inst].opnd[1].v,
-                            in.imm);
+        value = sim::evalOp(in.op, s.v[0], s.v[1], in.imm);
     Event ev;
     ev.when = now + lat;
     ev.kind = 0;
@@ -675,15 +716,15 @@ CycleSim::olderStoresDone(unsigned fidx, u16 inst) const
 }
 
 void
-CycleSim::sendMemRequest(unsigned fidx, u16 inst, unsigned et,
-                         bool is_store, Addr ea, u64 value, bool)
+CycleSim::sendMemRequest(unsigned fidx, u16 inst, bool is_store, Addr ea,
+                         u64 value)
 {
     Frame &f = frames[fidx];
     unsigned bank = isa::dtForAddr(ea);
-    OutPacket op;
-    op.pkt.src = isa::opnNode(isa::etCoord(et));
-    op.pkt.dst = isa::opnNode(isa::dtCoord(bank));
-    op.pkt.cls = net::OpnClass::EtDt;
+    net::OpnPacket pkt;
+    pkt.src = f.im[inst].etNode;
+    pkt.dst = static_cast<u8>(isa::opnNode(isa::dtCoord(bank)));
+    pkt.cls = net::OpnClass::EtDt;
     PacketData pd;
     pd.kind = PacketData::Kind::MemRequest;
     pd.fidx = fidx;
@@ -693,7 +734,7 @@ CycleSim::sendMemRequest(unsigned fidx, u16 inst, unsigned et,
     pd.addr = ea;
     pd.width = static_cast<u8>(sim::memWidth(f.blk->insts[inst].op));
     pd.value = value;
-    queuePacket(op, pd);
+    queuePacket(pkt, pd);
 }
 
 // ---------------------------------------------------------------------
@@ -711,107 +752,68 @@ CycleSim::finishExecute(unsigned fidx, u16 inst, u64 value, bool is_null,
         f.is[inst].istate = IS_FIRED;
         ++f.firedCount;
     }
-    const Instruction &in = f.blk->insts[inst];
-    unsigned src = f.im[inst].etNode;
-    for (const auto &t : in.targets) {
-        if (t.valid())
-            routeOperand(fidx, inst, src, t, value, is_null,
-                         is_load_reply);
-    }
-}
-
-void
-CycleSim::routeOperand(unsigned fidx, u16 /*producer*/, unsigned src_node,
-                       const Target &t, u64 value, bool is_null,
-                       bool is_load_reply)
-{
     // Traffic-class accounting note: the model folds the DT->ET reply
     // leg of a load into the reply event's latency and distributes the
     // result from the load's own ET, so reply packets physically
     // originate at an ET node. They are still *accounted* as DT-ET /
     // DT-RT traffic (the paper's Fig. 8 reply classes); their hop
     // counts therefore measure the ET->consumer leg.
+    const SrcClasses cls = is_load_reply
+        ? SrcClasses{net::OpnClass::DtEt, net::OpnClass::DtRt}
+        : SrcClasses{net::OpnClass::EtEt, net::OpnClass::EtRt};
+    const InstMeta &im = f.im[inst];
+    for (unsigned k = 0; k < im.numTargets; ++k)
+        routeOperand(fidx, im.etNode, im.tgt[k], cls, value, is_null);
+}
+
+void
+CycleSim::routeOperand(unsigned fidx, unsigned src_node,
+                       const RouteTarget &t, SrcClasses cls, u64 value,
+                       bool is_null)
+{
     Frame &f = frames[fidx];
-    if (t.kind == Target::Kind::Write) {
-        unsigned bank = Block::regBank(f.blk->writes[t.index].reg);
-        unsigned dst = isa::opnNode(isa::rtCoord(bank));
-        // Loads replying straight to a write slot are DT->RT traffic.
-        net::OpnClass cls = is_load_reply ? net::OpnClass::DtRt
-                                          : net::OpnClass::EtRt;
-        OutPacket op;
-        op.pkt.src = src_node;
-        op.pkt.dst = dst;
-        op.pkt.cls = cls;
-        PacketData pd;
-        pd.kind = PacketData::Kind::WriteArrive;
-        pd.fidx = fidx;
-        pd.epoch = f.epoch;
-        pd.writeSlot = t.index;
-        pd.value = value;
-        pd.isNull = is_null;
-        queuePacket(op, pd);
-        return;
-    }
-    unsigned operand = t.kind == Target::Kind::Op0 ? 0
-                     : t.kind == Target::Kind::Op1 ? 1 : 2;
-    unsigned dst = f.im[t.index].etNode;
-    if (dst == src_node && !srcIsDt(src_node) && !srcIsRt(src_node)) {
+    if (t.bypass) {
         // Local bypass within the ET: no network traversal.
         ++res.localBypasses;
-        net::OpnClass bcls = is_load_reply ? net::OpnClass::DtEt
-                                           : net::OpnClass::EtEt;
-        res.opnHops[static_cast<size_t>(bcls)].sample(0);
+        res.opnHops[static_cast<size_t>(cls.operand)].sample(0);
         Event ev;
         ev.when = now + 1;
         ev.kind = 1;
         ev.fidx = fidx;
         ev.epoch = f.epoch;
         ev.inst = t.index;
-        ev.operand = static_cast<u8>(operand);
+        ev.operand = t.slot;
         ev.value = value;
         ev.isNull = is_null;
         pushEvent(ev);
         return;
     }
-    net::OpnClass cls = net::OpnClass::EtEt;
-    if (is_load_reply)
-        cls = net::OpnClass::DtEt;      // load reply to a consumer ET
-    else if (srcIsRt(src_node))
-        cls = net::OpnClass::RtEt;      // register read operand
-    OutPacket op;
-    op.pkt.src = src_node;
-    op.pkt.dst = dst;
-    op.pkt.cls = cls;
+    net::OpnPacket pkt;
+    pkt.src = static_cast<u8>(src_node);
+    pkt.dst = t.dst;
     PacketData pd;
-    pd.kind = PacketData::Kind::Operand;
     pd.fidx = fidx;
     pd.epoch = f.epoch;
-    pd.inst = t.index;
-    pd.operand = static_cast<u8>(operand);
     pd.value = value;
     pd.isNull = is_null;
-    queuePacket(op, pd);
-}
-
-bool
-CycleSim::srcIsDt(unsigned node)
-{
-    return node % isa::OPN_COLS == 0 && node >= isa::OPN_COLS;
-}
-
-bool
-CycleSim::srcIsRt(unsigned node)
-{
-    return node < isa::OPN_COLS && node > 0;
+    if (t.slot == RouteTarget::WRITE_SLOT) {
+        pkt.cls = cls.write;
+        pd.kind = PacketData::Kind::WriteArrive;
+        pd.writeSlot = t.index;
+    } else {
+        pkt.cls = cls.operand;
+        pd.kind = PacketData::Kind::Operand;
+        pd.inst = t.index;
+        pd.operand = t.slot;
+    }
+    queuePacket(pkt, pd);
 }
 
 void
-CycleSim::queuePacket(OutPacket op, const PacketData &pd)
+CycleSim::queuePacket(net::OpnPacket pkt, const PacketData &pd)
 {
-    u32 id = packetPool.alloc();
-    packetPool[id] = pd;
-    op.pkt.tag = id;
-    outbox.push_back(op);
+    pkt.tag = packetPool.alloc(pd);
+    outbox.push_back(pkt);
 }
 
 void
@@ -821,58 +823,57 @@ CycleSim::pumpOutbox()
     // (stable in-place compaction, no O(n^2) middle erases).
     size_t w = 0;
     for (size_t i = 0; i < outbox.size(); ++i) {
-        if (!opn.inject(outbox[i].pkt, now))
+        if (!opn.inject(outbox[i], now))
             outbox[w++] = outbox[i];
     }
     outbox.truncate(w);
 }
 
 void
-CycleSim::deliverPackets()
+CycleSim::deliverPacket(const net::OpnPacket &pkt)
 {
-    for (const auto &pkt : opn.delivered()) {
-        u32 id = static_cast<u32>(pkt.tag);
-        const PacketData pd = packetPool[id];
-        Frame &f = frames[pd.fidx];
-        if (f.st == Frame::St::Free || f.epoch != pd.epoch) {
-            packetPool.free(id);
-            continue;  // squashed
-        }
-        switch (pd.kind) {
-          case PacketData::Kind::Operand:
-            packetPool.free(id);
-            deliverToken(pd.fidx, pd.inst, pd.operand, pd.value,
-                         pd.isNull);
-            break;
-          case PacketData::Kind::WriteArrive: {
-            packetPool.free(id);
-            auto &slot = f.writeVals[pd.writeSlot];
-            TRIPS_ASSERT(slot.st == TOK_EMPTY,
-                         "write slot received two tokens");
-            slot.st = pd.isNull ? TOK_NULL : TOK_VALUE;
-            slot.v = pd.value;
-            Event ev;
-            ev.when = now + cfg.statusLatency;
-            ev.kind = 2;
-            ev.fidx = pd.fidx;
-            ev.epoch = pd.epoch;
-            pushEvent(ev);
-            break;
-          }
-          case PacketData::Kind::MemRequest: {
-            // Payload stays in the pool while the request sits in the
-            // data tile's queue; the id is recycled in tickDts().
-            unsigned bank = isa::dtForAddr(pd.addr);
-            dts[bank].queue.push_back(id);
-            dtBusy |= static_cast<u8>(1u << bank);
-            break;
-          }
-          case PacketData::Kind::Branch:
-            packetPool.free(id);
-            resolveBranch(pd.fidx, pd.inst,
-                          f.blk->insts[pd.inst].exit);
-            break;
-        }
+    // Called by the router mid-tick, once per arrival. Nothing here
+    // touches the network: new packets go to the outbox, which is
+    // pumped at the end of the cycle.
+    u32 id = pkt.tag;
+    const PacketData pd = packetPool[id];
+    Frame &f = frames[pd.fidx];
+    if (f.st == Frame::St::Free || f.epoch != pd.epoch) {
+        packetPool.free(id);
+        return;  // squashed
+    }
+    switch (pd.kind) {
+      case PacketData::Kind::Operand:
+        packetPool.free(id);
+        deliverToken(pd.fidx, pd.inst, pd.operand, pd.value, pd.isNull);
+        break;
+      case PacketData::Kind::WriteArrive: {
+        packetPool.free(id);
+        auto &slot = f.writeVals[pd.writeSlot];
+        TRIPS_ASSERT(slot.st == TOK_EMPTY,
+                     "write slot received two tokens");
+        slot.st = pd.isNull ? TOK_NULL : TOK_VALUE;
+        slot.v = pd.value;
+        Event ev;
+        ev.when = now + cfg.statusLatency;
+        ev.kind = 2;
+        ev.fidx = pd.fidx;
+        ev.epoch = pd.epoch;
+        pushEvent(ev);
+        break;
+      }
+      case PacketData::Kind::MemRequest: {
+        // Payload stays in the pool while the request sits in the
+        // data tile's queue; the id is recycled in tickDts().
+        unsigned bank = isa::dtForAddr(pd.addr);
+        dts[bank].queue.push_back(id);
+        dtBusy |= static_cast<u8>(1u << bank);
+        break;
+      }
+      case PacketData::Kind::Branch:
+        packetPool.free(id);
+        resolveBranch(pd.fidx, pd.inst, f.blk->insts[pd.inst].exit);
+        break;
     }
 }
 
@@ -1092,7 +1093,9 @@ CycleSim::tickRts()
         Frame &f = frames[rr.fidx];
         if (f.st == Frame::St::Free || f.epoch != rr.epoch)
             continue;
-        const auto &read = f.blk->reads[rr.readIdx];
+        const auto &read = f.bm->reads[rr.readIdx];
+        const u64 reg_bit = u64{1} << (read.reg & 63);
+        const unsigned reg_word = read.reg >> 6;
 
         // Resolve against older in-flight frames, youngest first
         // (walking the frame queue backwards from this frame's
@@ -1111,6 +1114,8 @@ CycleSim::tickRts()
                 wait = true;  // writes unknown until header dispatched
                 break;
             }
+            if (!(g.writeMask[reg_word] & reg_bit))
+                continue;     // g does not write this register
             for (size_t w = 0; w < g.blk->writes.size(); ++w) {
                 if (g.blk->writes[w].reg != read.reg)
                     continue;
@@ -1135,11 +1140,10 @@ CycleSim::tickRts()
         if (!have)
             value = regfile[read.reg];
 
-        unsigned src = isa::opnNode(isa::rtCoord(bank));
-        for (const auto &t : read.targets) {
-            if (t.valid())
-                routeOperand(rr.fidx, 0, src, t, value, false);
-        }
+        const unsigned src = isa::opnNode(isa::rtCoord(bank));
+        const SrcClasses cls{net::OpnClass::RtEt, net::OpnClass::EtRt};
+        for (unsigned k = 0; k < read.numTargets; ++k)
+            routeOperand(rr.fidx, src, read.tgt[k], cls, value, false);
     }
 }
 
@@ -1398,8 +1402,7 @@ CycleSim::tickCommit()
 void
 CycleSim::stepCycle()
 {
-    opn.tick(now);
-    deliverPackets();
+    opn.tick(now, [this](const net::OpnPacket &pkt) { deliverPacket(pkt); });
     drainEvents();
     tickDts();
     tickRts();

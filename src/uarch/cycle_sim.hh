@@ -23,12 +23,15 @@
  *
  * The per-cycle machinery is allocation-free in steady state: packet
  * payloads live in a SlabPool keyed by dense ids carried as OPN tags,
- * timed events sit in a bucketed timing wheel (bounded latencies) with
+ * and the router hands each arrival straight to the packet handler.
+ * Timed events sit in a bucketed timing wheel (bounded latencies) with
  * a small overflow heap (rare long-latency DRAM replies), and every
  * per-tile queue is a reuse-friendly SmallVec/RingQueue. Event order
- * is fully deterministic: same-cycle events fire in push order
- * (tracked by a sequence number), which the wheel's FIFO buckets and
- * the (when, seq)-ordered overflow heap preserve exactly.
+ * is fully deterministic: same-cycle events fire in push order. Wheel
+ * buckets are FIFO; the overflow heap orders by (when, push sequence);
+ * and an overflow event due at cycle W was pushed at least a wheel span
+ * before any wheel event for W, so draining due overflow events before
+ * the bucket is push order (DESIGN.md §13).
  */
 
 #ifndef TRIPSIM_UARCH_CYCLE_SIM_HH
@@ -212,17 +215,11 @@ class CycleSim
         u16 readIdx;
     };
 
-    struct OutPacket
-    {
-        net::OpnPacket pkt;
-    };
-
-    /** Packed to 40 bytes: wheel buckets copy these by value. */
+    /** Packed to 32 bytes: wheel buckets copy these by value. */
     struct Event
     {
         Cycle when = 0;
         u64 value = 0;
-        u64 seq = 0;   ///< push order; same-cycle events fire FIFO
         unsigned fidx = 0;
         u32 epoch = 0;
         u16 inst = 0;
@@ -231,11 +228,19 @@ class CycleSim
         u8 operand = 0;
         bool isNull = false;
         u8 lsid = 0;
+    };
+    static_assert(sizeof(Event) == 32);
 
-        bool operator<(const Event &o) const
+    /** Overflow-heap entry: same-cycle entries fire in push order. */
+    struct FarEvent
+    {
+        Event ev;
+        u64 seq = 0;
+
+        bool operator<(const FarEvent &o) const
         {
-            if (when != o.when)
-                return when > o.when;
+            if (ev.when != o.ev.when)
+                return ev.when > o.ev.when;
             return seq > o.seq;
         }
     };
@@ -254,7 +259,6 @@ class CycleSim
     void tickEts();
     void tickDts();
     void tickCommit();
-    void deliverPackets();
     void pumpOutbox();
     void drainEvents();
 
@@ -263,8 +267,8 @@ class CycleSim
     void startFetch(u32 block_idx);
     void issueInst(unsigned fidx, u16 inst, unsigned et);
     bool olderStoresDone(unsigned fidx, u16 inst) const;
-    void sendMemRequest(unsigned fidx, u16 inst, unsigned et,
-                        bool is_store, Addr ea, u64 value, bool unused);
+    void sendMemRequest(unsigned fidx, u16 inst, bool is_store, Addr ea,
+                        u64 value);
     void resolveBranch(unsigned fidx, u16 inst, u8 exit);
     void tryResolveRets();
     void onNextKnown(unsigned fidx);
@@ -273,9 +277,6 @@ class CycleSim
     void squashFrame(unsigned idx);
     bool frameOlder(unsigned a, unsigned b) const;
     unsigned frameIndexOf(Frame &f) const;
-    void routeOperand(unsigned fidx, u16 producer, unsigned src_node,
-                      const isa::Target &t, u64 value, bool is_null,
-                      bool is_load_reply = false);
     void deliverToken(unsigned fidx, u16 inst, unsigned operand,
                       u64 value, bool is_null);
     void maybeWake(unsigned fidx, u16 inst);
@@ -286,17 +287,42 @@ class CycleSim
                          u8 lsid);
     Cycle portAccess(Addr addr, bool is_write, unsigned requester_bank,
                      net::OcnClass cls);
-    void queuePacket(OutPacket op, const PacketData &pd);
-    void pushEvent(Event ev);
+    void queuePacket(net::OpnPacket pkt, const PacketData &pd);
+    void deliverPacket(const net::OpnPacket &pkt);
+    void pushEvent(const Event &ev);
     void processEvent(const Event &ev);
-    static bool srcIsDt(unsigned node);
-    static bool srcIsRt(unsigned node);
+
+    /**
+     * One decoded operand target: where a produced value goes. Slots
+     * 0..2 are an instruction's operands (dst = that instruction's ET
+     * node, index = its slot); WRITE_SLOT is a header write (dst = the
+     * register tile of the write's bank, index = the write slot).
+     */
+    struct RouteTarget
+    {
+        static constexpr u8 WRITE_SLOT = 3;
+        u8 slot = 0;
+        u8 dst = 0;
+        u8 index = 0;
+        bool bypass = false;    ///< same ET as the producer: no network
+    };
+
+    /** Traffic classes a producer's operand and write packets are
+     *  accounted under (Fig. 8). */
+    struct SrcClasses
+    {
+        net::OpnClass operand, write;
+    };
+
+    void routeOperand(unsigned fidx, unsigned src_node,
+                      const RouteTarget &t, SrcClasses cls, u64 value,
+                      bool is_null);
 
     /**
      * Per-instruction static facts, decoded once per block and kept
      * hot: the wake/issue/route paths run every cycle and would
-     * otherwise re-read the wide Instruction record, the opcode table
-     * and the placement vector each time.
+     * otherwise re-read the wide Instruction record, the opcode table,
+     * the placement vector and the consumers' placement each time.
      */
     struct InstMeta
     {
@@ -306,6 +332,8 @@ class CycleSim
         u8 latency = 0;
         u8 flags = 0;       ///< see FL_* below
         u8 lsid = 0;
+        u8 numTargets = 0;  ///< valid entries of tgt, in field order
+        RouteTarget tgt[2];
     };
     enum : u8 {
         FL_PREDICATED = 1 << 0,
@@ -315,13 +343,30 @@ class CycleSim
         FL_LOAD = 1 << 4,
     };
 
-    const std::vector<InstMeta> &metaFor(u32 block_idx);
+    /** A block's decoded static facts (built lazily, on first fetch). */
+    struct BlockMeta
+    {
+        std::vector<InstMeta> insts;
+        /** Per header read: its register and decoded targets. */
+        struct Read
+        {
+            u8 reg = 0;
+            u8 numTargets = 0;
+            RouteTarget tgt[2];
+        };
+        std::vector<Read> reads;
+        /** Bit per architectural register the block writes. */
+        std::array<u64, 2> writeMask{};
+    };
+    static_assert(isa::NUM_REGS <= 128, "write mask is two u64 words");
+
+    const BlockMeta &metaFor(u32 block_idx);
 
     const isa::Program &prog;
     MemImage &mem;
     UarchConfig cfg;
 
-    std::vector<std::vector<InstMeta>> instMeta;  ///< per block, lazy
+    std::vector<BlockMeta> blockMeta;  ///< per block, lazy
 
     std::array<u64, isa::NUM_REGS> regfile{};
     std::vector<u32> archStack;
@@ -332,15 +377,15 @@ class CycleSim
 
     net::OpnNetwork opn;
     SlabPool<PacketData> packetPool;
-    SmallVec<OutPacket, 64> outbox;
+    SmallVec<net::OpnPacket, 64> outbox;
 
     // Event machinery: wheel buckets hold same-cycle events in push
-    // (seq) order; the overflow heap is ordered by (when, seq). Small
-    // inline buckets keep the wheel's working set compact; heavy
+    // order; the overflow heap is ordered by (when, push sequence).
+    // Small inline buckets keep the wheel's working set compact; heavy
     // buckets spill once and keep their buffer.
     std::array<SmallVec<Event, 8>, WHEEL_SIZE> wheel;
-    std::priority_queue<Event> overflow;
-    u64 eventSeq = 0;
+    std::priority_queue<FarEvent> overflow;
+    u64 overflowSeq = 0;
 
     mem::Cache l1i;
     std::vector<mem::Cache> l1d;      ///< 4 banks (private)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "net/opn.hh"
@@ -163,6 +165,90 @@ TEST(Opn, BackpressureOnFullFifo)
     for (int i = 0; i < 10; ++i)
         accepted += opn.inject(p, 0);
     EXPECT_EQ(accepted, net::OpnNetwork::FIFO_DEPTH);
+}
+
+namespace {
+
+struct Fnv
+{
+    u64 h = 0xcbf29ce484222325ULL;
+
+    void
+    add(u64 v)
+    {
+        for (unsigned i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+
+    void
+    add(double d)
+    {
+        u64 bits;
+        std::memcpy(&bits, &d, sizeof bits);
+        add(bits);
+    }
+};
+
+} // namespace
+
+TEST(Opn, CongestionGolden)
+{
+    // A seeded schedule that keeps the mesh saturated: bursts of up to
+    // 12 packets per cycle, half of them aimed at the centre node and a
+    // quarter injected at one corner, so local FIFOs overflow (rejected
+    // injects), several inputs contend for one output port, and full
+    // downstream FIFOs hold flits back. Figure traffic almost never
+    // reaches those branches, so this pins them directly: the delivered
+    // (tick, tag, hops) stream, the reject count, and every statistic
+    // the network exports. Captured from the switch-based router that
+    // preceded the table-driven one.
+    net::OpnNetwork opn;
+    Rng rng(0x0b5e55ed);
+    Fnv fnv;
+    u32 tag = 0;
+    u64 rejected = 0, delivered = 0;
+    const Cycle inject_until = 3000;
+    for (Cycle t = 1; t < inject_until + 200; ++t) {
+        if (t < inject_until) {
+            unsigned burst = static_cast<unsigned>(rng.below(13));
+            for (unsigned k = 0; k < burst; ++k) {
+                net::OpnPacket p;
+                p.src = static_cast<u8>(rng.below(4) == 0
+                    ? 0 : rng.below(net::OpnNetwork::NODES));
+                p.dst = static_cast<u8>(rng.below(2) == 0
+                    ? 12 : rng.below(net::OpnNetwork::NODES));
+                p.cls = static_cast<net::OpnClass>(rng.below(
+                    static_cast<u64>(net::OpnClass::NUM_CLASSES)));
+                p.tag = ++tag;
+                if (!opn.inject(p, t))
+                    ++rejected;
+            }
+        }
+        opn.tick(t);
+        for (const auto &d : opn.delivered()) {
+            fnv.add(t);
+            fnv.add(u64{d.tag});
+            fnv.add(u64{d.hops});
+            ++delivered;
+        }
+    }
+    EXPECT_EQ(delivered, opn.packetsSent());   // the tail fully drains
+    EXPECT_EQ(rejected, 12134u);
+    EXPECT_EQ(opn.packetsSent(), 6051u);
+    fnv.add(rejected);
+    fnv.add(opn.packetsSent());
+    fnv.add(opn.avgLatency());
+    for (size_t c = 0; c < static_cast<size_t>(net::OpnClass::NUM_CLASSES);
+         ++c) {
+        const auto &d = opn.hopDist(static_cast<net::OpnClass>(c));
+        for (unsigned b = 0; b < d.numBuckets(); ++b)
+            fnv.add(d.count(b));
+        fnv.add(d.samples());
+        fnv.add(d.mean());
+    }
+    EXPECT_EQ(fnv.h, 0x1828a27961d47cd5ULL) << std::hex << fnv.h;
 }
 
 // ---------------------------------------------------------------------
