@@ -10,14 +10,20 @@
  *
  * Implemented as an observer of the functional simulator's committed
  * block stream: each fired instruction is timestamped at the max of
- * its producers' completion times.
+ * its producers' completion times. A block costs no allocation in
+ * steady state: the ready times of its header reads and instructions
+ * live in one fixed array indexed by the record's producer encoding,
+ * so an operand costs one load; the window is a ring of the last
+ * window-blocks completion times, sized once at construction (8 bytes
+ * per block of window); and the last store to each 8-byte chunk sits
+ * in a flat open-addressed table that grows only with the store
+ * footprint.
  */
 
 #ifndef TRIPSIM_IDEAL_IDEAL_HH
 #define TRIPSIM_IDEAL_IDEAL_HH
 
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "trips/func_sim.hh"
 
@@ -45,7 +51,7 @@ struct IdealResult
 class IdealSim : public sim::BlockObserver
 {
   public:
-    explicit IdealSim(const IdealConfig &cfg) : cfg(cfg) {}
+    explicit IdealSim(const IdealConfig &cfg);
 
     void onBlockCommit(const isa::Block &block,
                        const sim::BlockRecord &rec) override;
@@ -53,10 +59,44 @@ class IdealSim : public sim::BlockObserver
     IdealResult result() const;
 
   private:
+    /** Completion time of the last store to each 8-byte chunk, open
+     *  addressing with linear probing, at most half full. */
+    class ChunkTable
+    {
+      public:
+        ChunkTable() : slots(1024) {}
+
+        /** The chunk's entry, or nullptr if no store wrote it. */
+        const Cycle *find(Addr chunk) const;
+        void set(Addr chunk, Cycle t);
+
+      private:
+        static constexpr Addr EMPTY = ~Addr{0};  ///< not a chunk index
+        struct Slot
+        {
+            Addr chunk = EMPTY;
+            Cycle t = 0;
+        };
+
+        size_t home(Addr chunk) const;
+        void grow();
+
+        std::vector<Slot> slots;  ///< power-of-two size
+        size_t used = 0;
+    };
+
     IdealConfig cfg;
     std::array<Cycle, isa::NUM_REGS> regReady{};
-    std::unordered_map<Addr, Cycle> storeReady;  ///< per 8-byte chunk
-    std::deque<Cycle> blockCompletions;          ///< window ring
+    /** Ready time of every producer encoding, indexed by producer +
+     *  TIME_BASE: instruction slots at and above it, PROD_NONE just
+     *  below, then the header reads downwards (PROD_READ0 - r). */
+    static constexpr int TIME_BASE = 1 + isa::MAX_READS;
+    std::array<Cycle, TIME_BASE + isa::MAX_INSTS> ready{};
+    ChunkTable storeReady;
+    /** Completion times of the last window-blocks blocks, oldest at
+     *  windowPos. */
+    std::vector<Cycle> window;
+    size_t windowPos = 0;
     Cycle lastDispatch = 0;
     bool first = true;
     u64 executed = 0;

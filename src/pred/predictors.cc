@@ -156,12 +156,7 @@ NextBlockPredictor::predict(u32 block)
     switch (btype[btypeIndex(block, p.exit)]) {
       case 2: {  // return
         // Peek the RAS without popping (commit-time update pops).
-        u32 v;
-        ReturnStack copy = ras;
-        if (copy.pop(v)) {
-            p.nextBlock = v;
-            p.valid = true;
-        }
+        p.valid = ras.peek(p.nextBlock);
         break;
       }
       case 1:   // call

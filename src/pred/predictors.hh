@@ -75,12 +75,21 @@ class ReturnStack
             ++count;
     }
 
+    /** The value pop() would return, without popping. */
     bool
-    pop(u32 &v)
+    peek(u32 &v) const
     {
         if (count == 0)
             return false;
         v = stack[top_idx];
+        return true;
+    }
+
+    bool
+    pop(u32 &v)
+    {
+        if (!peek(v))
+            return false;
         top_idx = (top_idx + stack.size() - 1) % stack.size();
         --count;
         return true;

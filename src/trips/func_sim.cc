@@ -503,6 +503,7 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
         h = h * 0x9E3779B97F4A7C15ull ^ chunk;
     }
     const unsigned way = (h >> 59) & (DecodedBlock::MEMO_WAYS - 1);
+    fx.memoWay = static_cast<u8>(way);
     u8 *const mslot = d.memoFst.data() + static_cast<size_t>(way) * n;
     if (d.memoValid[way] && std::memcmp(mslot, fst, n) == 0) {
         applyDelta(stats, d.memoVal[way]);
@@ -588,17 +589,44 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
     std::memcpy(mslot, fst, n);
     d.memoVal[way] = delta;
     d.memoValid[way] = 1;
+    d.recValid[way] = 0;
     applyDelta(stats, delta);
     return fx;
 }
 
 BlockRecord &
-FuncSim::fillRecord(u32 bidx, const DecodedBlock &d, const FastExit &fx)
+FuncSim::fillRecord(u32 bidx, DecodedBlock &d, const FastExit &fx)
 {
     const Scratch &s = *scratch;
+    if (d.recMemo.empty())
+        d.recMemo.resize(DecodedBlock::MEMO_WAYS);
+    RecordMemo &m = d.recMemo[fx.memoWay];
+    if (!d.recValid[fx.memoWay]) {
+        buildRecordMemo(bidx, d, m);
+        d.recValid[fx.memoWay] = 1;
+    }
+
+    BlockRecord &rec = workRec;
+    rec.blockIdx = bidx;
+    rec.isCall = fx.isCall;
+    rec.isRet = fx.isRet;
+    rec.branchInst = m.branchInst;
+    rec.exitTaken = m.exitTaken;
+    rec.fired = m.fired;
+    rec.writeProducer = m.writeProducer;
+    rec.writeIsNull = m.writeIsNull;
+    for (const RecordMemo::AddrPatch &p : m.addrs)
+        rec.fired[p.op].addr = s.res[p.base] + p.imm;
+    return rec;
+}
+
+void
+FuncSim::buildRecordMemo(u32 bidx, const DecodedBlock &d,
+                         RecordMemo &m) const
+{
+    const u8 *const fst = scratch->fst;
     const isa::Block &b = prog.block(bidx);
     const u16 n = d.n;
-    const u8 *const fst = s.fst;
     const SrcRef *const pool = d.mergePool.data();
     auto delivered = [&](SrcRef enc) { return deliveredRef(enc, pool, fst); };
     // A delivered ref in block-slot numbering: schedule index k is
@@ -611,11 +639,8 @@ FuncSim::fillRecord(u32 bidx, const DecodedBlock &d, const FastExit &fx)
         return PROD_NONE;
     };
 
-    BlockRecord &rec = workRec;
-    rec.blockIdx = bidx;
-    rec.isCall = fx.isCall;
-    rec.isRet = fx.isRet;
-    rec.fired.clear();
+    m.fired.clear();
+    m.addrs.clear();
     for (u16 k = 0; k < n; ++k) {
         if (fst[k] == TOK_EMPTY)
             continue;
@@ -629,25 +654,27 @@ FuncSim::fillRecord(u32 bidx, const DecodedBlock &d, const FastExit &fx)
         if (di.pred != static_cast<u8>(PredMode::None))
             f.prodPred = producer(delivered(di.srcP));
         f.nullToken = fst[k] == TOK_NULL;
-        // Memory ops: the address is recomputed from the fired address
-        // operand (null accesses record address 0).
+        // Memory ops: the address comes from the fired address operand
+        // of each instance (null accesses record address 0).
         f.width = di.width;
-        if (di.width && !f.nullToken)
-            f.addr = s.res[delivered(di.src0)] + static_cast<u64>(di.imm);
-        if (static_cast<DecKind>(di.kind) == DecKind::Branch) {
-            rec.branchInst = f.inst;
-            rec.exitTaken = b.insts[f.inst].exit;
+        if (di.width && !f.nullToken) {
+            m.addrs.push_back({static_cast<u16>(m.fired.size()),
+                               delivered(di.src0),
+                               static_cast<u64>(di.imm)});
         }
-        rec.fired.push_back(f);
+        if (static_cast<DecKind>(di.kind) == DecKind::Branch) {
+            m.branchInst = f.inst;
+            m.exitTaken = b.insts[f.inst].exit;
+        }
+        m.fired.push_back(f);
     }
-    rec.writeProducer.resize(d.numWrites);
-    rec.writeIsNull.resize(d.numWrites);
+    m.writeProducer.resize(d.numWrites);
+    m.writeIsNull.resize(d.numWrites);
     for (u16 w = 0; w < d.numWrites; ++w) {
         const SrcRef r = delivered(d.writeSrc[w]);
-        rec.writeProducer[w] = producer(r);
-        rec.writeIsNull[w] = fst[r] == TOK_NULL;
+        m.writeProducer[w] = producer(r);
+        m.writeIsNull[w] = fst[r] == TOK_NULL;
     }
-    return rec;
 }
 
 FuncResult

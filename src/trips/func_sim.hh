@@ -12,9 +12,12 @@
  *
  * There is one engine: every block is pre-decoded once into a static
  * fire schedule and each instance is a single threaded-code walk over
- * it (see predecode.hh). With observers attached, the walk's result
- * and state arrays are turned into a BlockRecord after each commit:
- * fired instructions with operand provenance, memory addresses, exits.
+ * it (see predecode.hh). With observers attached, each commit hands
+ * them a BlockRecord: fired instructions with operand provenance,
+ * memory addresses, exits. All of it but the addresses is a function
+ * of the instance's fired/null state bytes, so it is memoized per
+ * block in the ways of the stats memo; a hit copies the memoized
+ * record and patches in this instance's addresses.
  * The ISA-evaluation stats (paper §4), the next-block predictor study
  * (Fig. 7), and the ideal-machine limit study (Fig. 10) are all
  * consumers of this committed-block stream.
@@ -128,6 +131,7 @@ struct FuncResult
 struct Checkpoint;
 struct DecodedBlock;
 class DecodedProgram;
+struct RecordMemo;
 
 class FuncSim
 {
@@ -199,6 +203,7 @@ class FuncSim
         i32 returnBlock = -1;
         bool isCall = false;
         bool isRet = false;
+        u8 memoWay = 0;  ///< memo way now holding this instance's state
     };
 
     /**
@@ -210,12 +215,20 @@ class FuncSim
 
     /**
      * Fill the reused committed-block record of the instance
-     * executeBlockFast() just ran, from its result/state arrays. The
-     * record is owned by the simulator and reused across blocks, so
-     * observed runs allocate nothing per block in steady state.
+     * executeBlockFast() just ran. The record less its addresses is
+     * memoized in the instance's stats-memo way (DecodedBlock::recMemo),
+     * so a hit copies it and patches each non-null memory op's address
+     * from the result array. A way never built, or replaced by the
+     * stats memo since, is first rebuilt with buildRecordMemo() (the
+     * per-instruction walk). The record is owned by the simulator and
+     * reused across blocks, so observed runs allocate nothing per
+     * block in steady state.
      */
-    BlockRecord &fillRecord(u32 bidx, const DecodedBlock &d,
-                            const FastExit &fx);
+    BlockRecord &fillRecord(u32 bidx, DecodedBlock &d, const FastExit &fx);
+
+    /** Build @p m from the state arrays of the instance just run. */
+    void buildRecordMemo(u32 bidx, const DecodedBlock &d,
+                         RecordMemo &m) const;
 
     const isa::Program &prog;
     MemImage &mem;

@@ -34,7 +34,9 @@
  * (usefulness marking + classification) is a pure function of the
  * fired/null state bytes for a fixed block, and real programs revisit
  * very few distinct patterns per block, so it is memoized in a small
- * set-associative table keyed by those bytes.
+ * set-associative table keyed by those bytes. The same ways hold the
+ * observer's committed-block record, less its memory addresses, which
+ * is the same kind of function of the same bytes.
  *
  * Every validated block decodes: isa::validateBlock rejects the blocks
  * that have no static schedule (a dataflow cycle, a later-LSID memory
@@ -58,6 +60,7 @@
 #include <vector>
 
 #include "isa/program.hh"
+#include "trips/func_sim.hh"
 
 namespace trips::sim {
 
@@ -135,6 +138,25 @@ struct StatsDelta
     u32 loadsExecuted = 0, storesCommitted = 0, writesCommitted = 0;
 };
 
+/** A BlockRecord minus its memory addresses (see DecodedBlock::recMemo). */
+struct RecordMemo
+{
+    /** One non-null memory op: fired[op].addr = res[base] + imm. */
+    struct AddrPatch
+    {
+        u16 op;       ///< index into fired
+        SrcRef base;  ///< delivered address operand (a plain ref)
+        u64 imm;
+    };
+
+    u16 branchInst = 0;
+    u8 exitTaken = 0;
+    std::vector<FiredOp> fired;  ///< addresses of memory ops left 0
+    std::vector<i16> writeProducer;
+    std::vector<bool> writeIsNull;
+    std::vector<AddrPatch> addrs;
+};
+
 /** A block decoded for the threaded engine (see file comment). */
 struct DecodedBlock
 {
@@ -183,6 +205,18 @@ struct DecodedBlock
     std::vector<u8> memoFst;  ///< MEMO_WAYS runs of n state bytes
     StatsDelta memoVal[MEMO_WAYS] = {};
     u8 memoValid[MEMO_WAYS] = {};
+
+    /**
+     * Committed-block record memo, one entry per stats-memo way and
+     * keyed by the same state bytes: everything in a BlockRecord but
+     * the memory addresses is a function of them. Built lazily, only
+     * for observed instances (the vector stays empty otherwise). An
+     * entry is valid only while its way still holds the pattern it was
+     * built from, so a stats-memo miss that replaces a way clears
+     * recValid[way], observed or not.
+     */
+    std::vector<RecordMemo> recMemo;
+    u8 recValid[MEMO_WAYS] = {};
 
     /** Decoded footprint in bytes (cache accounting). */
     u64 bytes() const;

@@ -138,6 +138,69 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto &info) { return info.param->name; });
 
 // ---------------------------------------------------------------------
+// Ideal machine golden numbers: executed instructions and makespan for
+// the three Fig. 10 configurations on the observed-flow pool, pinned so
+// a change to IdealSim (or to the record stream it consumes) that
+// moves any of them fails here.
+// ---------------------------------------------------------------------
+
+struct IdealPin
+{
+    const char *workload;
+    u64 executed;
+    Cycle makespan[3];  ///< 1K/8cy, 1K/0cy, 128K/0cy
+};
+
+const IdealPin kIdealPins[] = {
+    {"vadd", 145422, {30738, 30731, 30731}},
+    {"ct", 84344, {13426, 13411, 642}},
+    {"802.11a", 258793, {61372, 53160, 47314}},
+    {"8b10b", 241675, {65565, 36891, 32799}},
+    {"a2time", 120894, {32802, 21813, 6173}},
+    {"rspeed", 351686, {32808, 24357, 24357}},
+    {"ospf", 160711, {29062, 29055, 12148}},
+    {"routelookup", 159344, {57482, 34596, 4181}},
+    {"conven", 344072, {65556, 32786, 32786}},
+    {"fbital", 133134, {17357, 17342, 17342}},
+    {"fft", 101391, {33863, 13051, 1739}},
+    {"crafty", 274473, {65559, 30739, 8231}},
+    {"twolf", 487669, {163549, 69587, 57370}},
+    {"vortex", 366271, {229382, 49162, 28673}},
+    {"vpr", 538333, {104308, 104301, 104301}},
+    {"mesa", 236736, {76228, 19442, 8872}},
+    {"wupwise", 427511, {67536, 31379, 5705}},
+};
+
+TEST(IdealGolden, Fig10Configs)
+{
+    ideal::IdealConfig cfgs[3];            // 1K, 8-cycle dispatch
+    cfgs[1].dispatchCost = 0;
+    cfgs[2].dispatchCost = 0;
+    cfgs[2].windowInsts = 128 * 1024;
+    for (const IdealPin &pin : kIdealPins) {
+        Module mod;
+        workloads::find(pin.workload).build(mod);
+        auto prog =
+            compiler::compileToTrips(mod, compiler::Options::compiled());
+        MemImage mem;
+        wir::Interp::loadGlobals(mod, mem);
+        sim::FuncSim fsim(prog, mem);
+        ideal::IdealSim sims[3] = {ideal::IdealSim(cfgs[0]),
+                                   ideal::IdealSim(cfgs[1]),
+                                   ideal::IdealSim(cfgs[2])};
+        for (auto &s : sims)
+            fsim.addObserver(&s);
+        ASSERT_FALSE(fsim.run().fuelExhausted) << pin.workload;
+        for (unsigned c = 0; c < 3; ++c) {
+            EXPECT_EQ(sims[c].result().executed, pin.executed)
+                << pin.workload << " config " << c;
+            EXPECT_EQ(sims[c].result().makespan, pin.makespan[c])
+                << pin.workload << " config " << c;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // OoO platform properties
 // ---------------------------------------------------------------------
 

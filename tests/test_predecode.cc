@@ -8,6 +8,7 @@
  * record stream (each record's fired set sorted by slot, since the
  * fire order itself is only promised up to the observer contract).
  * One aggregate digest covers a differential fuzz slice. Also: the
+ * record memo under a late observer and a checkpoint restore, the
  * observer contract on generated programs, decodeBlock unit tests, and
  * the decoded-block cache accounting.
  */
@@ -44,43 +45,51 @@ struct Digest
     }
 };
 
-/** Digests the observer stream, each record's fired set in slot order. */
+/** Digests the observer stream, each record's fired set in slot order;
+ *  also keeps one digest per record, in stream order. */
 class DigestObserver : public sim::BlockObserver
 {
   public:
     void
     onBlockCommit(const isa::Block &, const sim::BlockRecord &rec) override
     {
-        d.put(rec.blockIdx, 4);
-        d.put(rec.nextBlock, 4);
-        d.put(rec.exitTaken, 1);
-        d.put(rec.isCall, 1);
-        d.put(rec.isRet, 1);
-        d.put(rec.halts, 1);
-        d.put(rec.branchInst, 2);
+        Digest one;
+        auto put = [&](u64 v, int bytes) {
+            d.put(v, bytes);
+            one.put(v, bytes);
+        };
+        put(rec.blockIdx, 4);
+        put(rec.nextBlock, 4);
+        put(rec.exitTaken, 1);
+        put(rec.isCall, 1);
+        put(rec.isRet, 1);
+        put(rec.halts, 1);
+        put(rec.branchInst, 2);
         fired = rec.fired;
         std::sort(fired.begin(), fired.end(),
                   [](const sim::FiredOp &a, const sim::FiredOp &b) {
                       return a.inst < b.inst;
                   });
-        d.put(fired.size(), 4);
+        put(fired.size(), 4);
         for (const auto &f : fired) {
-            d.put(f.inst, 2);
-            d.put(static_cast<u16>(f.prodOp0), 2);
-            d.put(static_cast<u16>(f.prodOp1), 2);
-            d.put(static_cast<u16>(f.prodPred), 2);
-            d.put(f.addr, 8);
-            d.put(f.width, 1);
-            d.put(f.nullToken, 1);
+            put(f.inst, 2);
+            put(static_cast<u16>(f.prodOp0), 2);
+            put(static_cast<u16>(f.prodOp1), 2);
+            put(static_cast<u16>(f.prodPred), 2);
+            put(f.addr, 8);
+            put(f.width, 1);
+            put(f.nullToken, 1);
         }
-        d.put(rec.writeProducer.size(), 4);
+        put(rec.writeProducer.size(), 4);
         for (size_t w = 0; w < rec.writeProducer.size(); ++w) {
-            d.put(static_cast<u16>(rec.writeProducer[w]), 2);
-            d.put(rec.writeIsNull[w], 1);
+            put(static_cast<u16>(rec.writeProducer[w]), 2);
+            put(rec.writeIsNull[w], 1);
         }
+        records.push_back(one.h);
     }
 
     Digest d;
+    std::vector<u64> records;
 
   private:
     std::vector<sim::FiredOp> fired;
@@ -265,6 +274,78 @@ TEST(FuncGolden, FuzzSliceDigest)
     }
     EXPECT_EQ(arch.h, 0xcc72160999bb04ebull) << "architectural outcomes";
     EXPECT_EQ(obs.h, 0xd7c39bde187fc640ull) << "observer streams";
+}
+
+// ---------------------------------------------------------------------
+// Record-memo validity. Observed runs reuse a record per stats-memo way
+// (DecodedBlock::recMemo); an observer attached mid-run must still see
+// exactly the records a run observed from the start sees, even though
+// the ways were filled by unobserved blocks. Loops whose instances
+// repeat one fired/null pattern at different addresses (vadd, matrix)
+// check that addresses are never taken from the memo.
+// ---------------------------------------------------------------------
+
+TEST(RecordMemo, LateObserverSeesFullRunSuffix)
+{
+    for (const char *name : {"vadd", "matrix", "mcf", "crafty"}) {
+        wir::Module mod;
+        workloads::find(name).build(mod);
+        auto prog =
+            compiler::compileToTrips(mod, compiler::Options::compiled());
+
+        MemImage fullMem;
+        wir::Interp::loadGlobals(mod, fullMem);
+        sim::FuncSim full(prog, fullMem);
+        DigestObserver all;
+        full.addObserver(&all);
+        full.run();
+        const u64 total = all.records.size();
+        ASSERT_GT(total, 64u) << name;
+
+        // The stream from record @p from on must match the full run's.
+        auto expectSuffix = [&](const DigestObserver &late, u64 from,
+                                const std::string &what) {
+            ASSERT_EQ(late.records.size(), total - from) << what;
+            for (u64 i = 0; i < late.records.size(); ++i) {
+                ASSERT_EQ(late.records[i], all.records[from + i])
+                    << what << ": record " << from + i;
+            }
+        };
+
+        for (u64 k : {u64{1}, u64{17}, total / 3, total - 5}) {
+            const std::string what =
+                std::string(name) + " observed from block " +
+                std::to_string(k);
+            MemImage mem;
+            wir::Interp::loadGlobals(mod, mem);
+            sim::FuncSim fsim(prog, mem);
+            ASSERT_TRUE(fsim.run(k).fuelExhausted) << what;
+            DigestObserver late;
+            fsim.addObserver(&late);
+            fsim.run();
+            expectSuffix(late, k, what);
+        }
+
+        // Restore rewinds the architectural state but not the memo: run
+        // on unobserved past a checkpoint, rewind to it, then observe.
+        for (u64 k : {total / 4, total / 2}) {
+            const std::string what = std::string(name) +
+                                     " observed after restore to block " +
+                                     std::to_string(k);
+            MemImage mem;
+            wir::Interp::loadGlobals(mod, mem);
+            sim::FuncSim fsim(prog, mem);
+            fsim.run(k);
+            sim::Checkpoint ck;
+            fsim.snapshot(ck);
+            fsim.run(total / 4);
+            fsim.restore(ck);
+            DigestObserver late;
+            fsim.addObserver(&late);
+            fsim.run();
+            expectSuffix(late, k, what);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
