@@ -44,13 +44,8 @@ Liveness::Liveness(const Function &f)
             u32 b = static_cast<u32>(bi);
             for (u32 s : f.successors(b))
                 changed |= liveOut[b].merge(liveIn[s]);
-            // liveIn = use | (liveOut - def)
-            VregSet ni = use[b];
-            for (u32 v = 0; v < f.nextVreg; ++v) {
-                if (liveOut[b].test(v) && !def[b].test(v))
-                    ni.set(v);
-            }
-            changed |= liveIn[b].merge(ni);
+            // liveIn |= use | (liveOut - def)
+            changed |= liveIn[b].mergeTransfer(use[b], liveOut[b], def[b]);
         }
     }
 }
@@ -96,44 +91,48 @@ findLoops(const Function &f)
 {
     const size_t nb = f.blocks.size();
 
-    // Dominators (iterative set intersection; fine at our sizes).
-    std::vector<std::vector<u8>> dom(nb, std::vector<u8>(nb, 1));
+    // Dominators: iterative set intersection over one bitset row of
+    // `words` u64s per block (bit h of row b: h dominates b).
+    const size_t words = (nb + 63) / 64;
+    const u64 lastMask = nb % 64 ? (1ull << (nb % 64)) - 1 : ~0ull;
+    std::vector<u64> dom(nb * words, ~0ull);
+    auto row = [&](u32 b) { return dom.data() + b * words; };
     std::vector<std::vector<u32>> preds(nb);
     for (u32 b = 0; b < nb; ++b) {
+        row(b)[words - 1] &= lastMask;
         for (u32 s : f.successors(b))
             preds[s].push_back(b);
     }
-    for (u32 b = 0; b < nb; ++b) {
-        if (b != 0)
-            continue;
-        std::fill(dom[b].begin(), dom[b].end(), 0);
-        dom[b][b] = 1;
+    if (nb > 0) {
+        std::fill(row(0), row(0) + words, 0);
+        row(0)[0] = 1;
     }
+    std::vector<u64> nd(words);
     bool changed = true;
     while (changed) {
         changed = false;
         for (u32 b = 1; b < nb; ++b) {
-            std::vector<u8> nd(nb, 1);
-            if (preds[b].empty()) {
-                std::fill(nd.begin(), nd.end(), 0);
-            } else {
-                for (u32 p : preds[b]) {
-                    for (u32 i = 0; i < nb; ++i)
-                        nd[i] = nd[i] && dom[p][i];
-                }
+            std::fill(nd.begin(), nd.end(), preds[b].empty() ? 0 : ~0ull);
+            nd[words - 1] &= lastMask;
+            for (u32 p : preds[b]) {
+                for (size_t w = 0; w < words; ++w)
+                    nd[w] &= row(p)[w];
             }
-            nd[b] = 1;
-            if (nd != dom[b]) {
-                dom[b] = nd;
+            nd[b >> 6] |= 1ull << (b & 63);
+            if (!std::equal(nd.begin(), nd.end(), row(b))) {
+                std::copy(nd.begin(), nd.end(), row(b));
                 changed = true;
             }
         }
     }
+    auto dominates = [&](u32 h, u32 b) {
+        return (row(b)[h >> 6] >> (h & 63)) & 1;
+    };
 
     std::vector<NaturalLoop> loops;
     for (u32 b = 0; b < nb; ++b) {
         for (u32 h : f.successors(b)) {
-            if (!dom[b][h])
+            if (!dominates(h, b))
                 continue;
             // back edge b->h: body = natural loop.
             NaturalLoop loop;

@@ -27,9 +27,28 @@ class VregSet
     bool
     merge(const VregSet &o)
     {
+        TRIPS_ASSERT(o.nbits == nbits, "VregSet width mismatch");
         bool changed = false;
         for (size_t w = 0; w < words.size(); ++w) {
             u64 nv = words[w] | o.words[w];
+            changed |= nv != words[w];
+            words[w] = nv;
+        }
+        return changed;
+    }
+
+    /** The backward liveness transfer, word by word:
+     *  this |= use | (out & ~def); returns true if anything changed. */
+    bool
+    mergeTransfer(const VregSet &use, const VregSet &out,
+                  const VregSet &def)
+    {
+        TRIPS_ASSERT(use.nbits == nbits && out.nbits == nbits &&
+                         def.nbits == nbits,
+                     "VregSet width mismatch");
+        bool changed = false;
+        for (size_t w = 0; w < words.size(); ++w) {
+            u64 nv = words[w] | use.words[w] | (out.words[w] & ~def.words[w]);
             changed |= nv != words[w];
             words[w] = nv;
         }
@@ -43,9 +62,10 @@ class VregSet
     bits() const
     {
         std::vector<u32> out;
-        for (u32 i = 0; i < nbits; ++i) {
-            if (test(i))
-                out.push_back(i);
+        for (size_t w = 0; w < words.size(); ++w) {
+            for (u64 m = words[w]; m; m &= m - 1)
+                out.push_back(static_cast<u32>(w * 64) +
+                              static_cast<u32>(__builtin_ctzll(m)));
         }
         return out;
     }

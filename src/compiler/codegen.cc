@@ -393,16 +393,18 @@ class FuncCompiler
     std::vector<std::vector<Vreg>>
     regionLiveSets() const
     {
+        // Sized from the liveness sets, not f.nextVreg: freshVreg()
+        // keeps growing the function after liveness ran.
+        const size_t width =
+            live->liveIn.empty() ? 0 : live->liveIn.front().size();
         std::vector<std::vector<Vreg>> live_sets(regions.size());
         for (u32 ri = 0; ri < regions.size(); ++ri) {
-            std::set<Vreg> ls;
+            VregSet ls(width);
             for (u32 b : regions[ri].members) {
-                for (u32 v : (*live).liveIn[b].bits())
-                    ls.insert(v);
-                for (u32 v : (*live).liveOut[b].bits())
-                    ls.insert(v);
+                ls.merge(live->liveIn[b]);
+                ls.merge(live->liveOut[b]);
             }
-            live_sets[ri].assign(ls.begin(), ls.end());
+            live_sets[ri] = ls.bits();
         }
         return live_sets;
     }
@@ -490,10 +492,10 @@ class FuncCompiler
         std::map<u32, std::map<Vreg, ValSource>> ctxOf;
         std::map<u32, CChain> chains;
         std::map<u32, i32> ctlTest;
-        std::map<Vreg, u32> readIdx;
+        std::vector<i32> readIdx;  ///< read slot per vreg, -1 if none
         std::map<i64, i32> constPool;
         std::map<i64, i32> spAddrPool;  ///< wide frame-slot addresses
-        std::set<Vreg> defined;
+        VregSet defined;
         std::vector<CExit> exits;
         unsigned memSeq = 0;
         u32 curBlock = 0;
@@ -589,11 +591,33 @@ class FuncCompiler
     {
         // prodsOf may materialize constant nodes and reallocate the
         // node vector, so resolve producers before touching the list.
-        const auto prods = prodsOf(g, vs);
+        const auto &prods = prodsOf(g, vs);
         auto &list = operand == 0 ? g.hb.nodes[node].in0
                                   : g.hb.nodes[node].in1;
         for (i32 p : prods)
             list.push_back(p);
+    }
+
+    /** The register-read slot of a vreg's incoming (pre-region) value,
+     *  created on first use. */
+    u32
+    readSlot(GenState &g, Vreg v)
+    {
+        i32 &slot = g.readIdx[v];
+        if (slot < 0) {
+            HRead r;
+            r.v = v;
+            if (curRegion == 0 && v < f.numParams) {
+                TRIPS_ASSERT(v < abi::MAX_ARGS, "too many parameters in ",
+                             fname);
+                r.fixedReg = abi::REG_ARG0 + static_cast<int>(v);
+            }
+            if (v == vregSPV)
+                r.fixedReg = abi::REG_SP;  // SP lives in R1 across regions
+            slot = static_cast<i32>(g.hb.reads.size());
+            g.hb.reads.push_back(r);
+        }
+        return static_cast<u32>(slot);
     }
 
     /** Look up a vreg in the current context, creating a register read
@@ -605,27 +629,7 @@ class FuncCompiler
         auto it = ctx.find(v);
         if (it != ctx.end())
             return it->second;
-        ValSource vs;
-        auto rit = g.readIdx.find(v);
-        if (rit == g.readIdx.end()) {
-            HRead r;
-            r.v = v;
-            bool entry_region = curRegion == 0;
-            if (entry_region && v < f.numParams) {
-                TRIPS_ASSERT(v < abi::MAX_ARGS, "too many parameters in ",
-                             fname);
-                r.fixedReg = abi::REG_ARG0 + static_cast<int>(v);
-            }
-            if (v == vregSPV)
-                r.fixedReg = abi::REG_SP;  // SP lives in R1 across regions
-            g.readIdx[v] = static_cast<u32>(g.hb.reads.size());
-            g.hb.reads.push_back(r);
-            rit = g.readIdx.find(v);
-        }
-        vs.prods.push_back(-1 - static_cast<i32>(rit->second));
-        auto [nit, ins] = ctx.emplace(v, std::move(vs));
-        (void)ins;
-        return nit->second;
+        return ctx.emplace(v, incomingVS(g, v)).first->second;
     }
 
     ValSource
@@ -646,23 +650,8 @@ class FuncCompiler
     ValSource
     incomingVS(GenState &g, Vreg v)
     {
-        auto rit = g.readIdx.find(v);
-        if (rit == g.readIdx.end()) {
-            HRead r;
-            r.v = v;
-            if (curRegion == 0 && v < f.numParams) {
-                TRIPS_ASSERT(v < abi::MAX_ARGS, "too many parameters in ",
-                             fname);
-                r.fixedReg = abi::REG_ARG0 + static_cast<int>(v);
-            }
-            if (v == vregSPV)
-                r.fixedReg = abi::REG_SP;
-            g.readIdx[v] = static_cast<u32>(g.hb.reads.size());
-            g.hb.reads.push_back(r);
-            rit = g.readIdx.find(v);
-        }
         ValSource vs;
-        vs.prods.push_back(-1 - static_cast<i32>(rit->second));
+        vs.prods.push_back(-1 - static_cast<i32>(readSlot(g, v)));
         return vs;
     }
 
@@ -674,6 +663,8 @@ class FuncCompiler
         curRegion = ridx;
         const Region &r = regions[ridx];
         GenState g;
+        g.readIdx.assign(f.nextVreg, -1);
+        g.defined = VregSet(f.nextVreg);
         g.hb.label = labelOf(ridx);
         g.hb.wirMembers = r.members;
         const u32 root = r.members[0];
@@ -694,7 +685,7 @@ class FuncCompiler
                                    -static_cast<i64>(frameBytes()),
                                    false);
             g.ctxOf[root][vregSPV] = makeNodeVS(g, adj, true);
-            g.defined.insert(vregSPV);
+            g.defined.set(vregSPV);
         }
         auto cont_it = contOfRegionRoot.find(root);
         if (cont_it != contOfRegionRoot.end()) {
@@ -706,13 +697,12 @@ class FuncCompiler
                 HRead rr;
                 rr.v = call.dst;
                 rr.fixedReg = abi::REG_RETVAL;
-                g.readIdx[call.dst] = static_cast<u32>(g.hb.reads.size());
+                g.readIdx[call.dst] = static_cast<i32>(g.hb.reads.size());
                 g.hb.reads.push_back(rr);
                 ValSource vs;
-                vs.prods.push_back(
-                    -1 - static_cast<i32>(g.readIdx[call.dst]));
+                vs.prods.push_back(-1 - g.readIdx[call.dst]);
                 g.ctxOf[root][call.dst] = vs;
-                g.defined.insert(call.dst);
+                g.defined.set(call.dst);
             }
             for (auto &[v, slot] : spillMap[call_block]) {
                 if (!(*live).liveIn[root].test(v))
@@ -723,7 +713,7 @@ class FuncCompiler
                 g.hb.nodes[ld].imm = disp;
                 connect(g, ld, 0, base);
                 g.ctxOf[root][v] = makeNodeVS(g, ld, true);
-                g.defined.insert(v);
+                g.defined.set(v);
             }
         }
         if (is_entry) {
@@ -731,7 +721,7 @@ class FuncCompiler
             // allocated registers, so params count as defined.
             for (Vreg p = 0; p < f.numParams; ++p) {
                 if ((*live).liveIn[root].test(p))
-                    g.defined.insert(p);
+                    g.defined.set(p);
             }
         }
 
@@ -947,7 +937,7 @@ class FuncCompiler
                std::map<Vreg, ValSource> &ctx, const Instr &in)
     {
         auto def = [&](ValSource vs) { ctx[in.dst] = std::move(vs);
-                                       g.defined.insert(in.dst); };
+                                       g.defined.set(in.dst); };
         // A speculated (unpredicated) op still only delivers when all
         // its inputs deliver, so totality is ANDed through the inputs:
         // an add fed by a predicated load is NOT total, and a store
@@ -1349,7 +1339,7 @@ class FuncCompiler
           case TermKind::Ret: {
             if (t.retVal != wir::NO_VREG) {
                 g.ctxOf[B][vregRETV] = lookup(g, t.retVal);
-                g.defined.insert(vregRETV);
+                g.defined.set(vregRETV);
             }
             if (frameSlots > 0) {
                 // Restore the caller's stack pointer on return paths:
@@ -1359,7 +1349,7 @@ class FuncCompiler
                 i32 adj = spAdjustNode(
                     g, sp, static_cast<i64>(frameBytes()), false);
                 g.ctxOf[B][vregSPV] = makeNodeVS(g, adj, false);
-                g.defined.insert(vregSPV);
+                g.defined.set(vregSPV);
             }
             i32 n = newNode(g, Opcode::RET);
             setPred(g, n, chain);
@@ -1384,7 +1374,7 @@ class FuncCompiler
             // Live values are spilled; only the arg writes remain —
             // except that an entry region that is itself a call block
             // must still publish the adjusted stack pointer.
-            if (g.defined.count(vregSPV)) {
+            if (g.defined.test(vregSPV)) {
                 HWrite w;
                 w.v = vregSPV;
                 w.fixedReg = abi::REG_SP;
@@ -1394,23 +1384,23 @@ class FuncCompiler
             return;
         }
 
-        // Which vregs need register writes?
-        std::set<Vreg> write_set;
+        // Which vregs need register writes? (Ascending vreg order.)
+        VregSet write_set(g.defined.size());
         for (const CExit &e : g.exits) {
             if (e.isRet)
                 continue;
             u32 target = exitTargetOf(g, e);
-            for (u32 v : (*live).liveIn[target].bits()) {
-                if (g.defined.count(v))
-                    write_set.insert(v);
+            for (u32 v : live->liveIn[target].bits()) {
+                if (g.defined.test(v))
+                    write_set.set(v);
             }
         }
-        if (g.defined.count(vregRETV))
-            write_set.insert(vregRETV);
-        if (g.defined.count(vregSPV))
-            write_set.insert(vregSPV);
+        if (g.defined.test(vregRETV))
+            write_set.set(vregRETV);
+        if (g.defined.test(vregSPV))
+            write_set.set(vregSPV);
 
-        for (Vreg v : write_set) {
+        for (Vreg v : write_set.bits()) {
             HWrite w;
             w.v = v;
             if (v == vregRETV)

@@ -59,39 +59,124 @@ struct ConsumerRef
     u32 index;
 };
 
-unsigned
-nodeCapacity(const TNode &n)
+/**
+ * Producer slots: read r is slot r, node i is slot reads + i. Fanout
+ * visits producers in ascending TIL id (reads as -1-r, so reads in
+ * descending index, then nodes ascending), which fixes the MOV ids.
+ */
+struct ProducerSlots
 {
-    return isa::opInfo(n.op).numTargets;
+    u32 reads;
+    u32 nodes;
+
+    u32
+    operator()(i32 p) const
+    {
+        TRIPS_ASSERT(p >= -static_cast<i32>(reads) &&
+                         p < static_cast<i32>(nodes),
+                     "TIL producer ", p, " out of range");
+        return p < 0 ? static_cast<u32>(-1 - p)
+                     : reads + static_cast<u32>(p);
+    }
+
+    i32
+    producer(u32 slot) const
+    {
+        return slot < reads ? -1 - static_cast<i32>(slot)
+                            : static_cast<i32>(slot - reads);
+    }
+};
+
+/** Target capacity of producer slot `slot`: register reads have two. */
+unsigned
+slotCapacity(const HBlock &hb, const ProducerSlots &slots, u32 slot)
+{
+    return slot < slots.reads
+               ? 2u
+               : isa::opInfo(hb.nodes[slot - slots.reads].op).numTargets;
 }
 
-} // namespace
-
+/** Call f(producer slot, kind, consumer index) for every operand edge,
+ *  in the order fanout re-attaches them. */
+template <typename F>
 void
-fanoutPass(HBlock &hb)
+forEachEdge(const HBlock &hb, const ProducerSlots &slots, F &&f)
 {
-    // Gather edges per producer. Producer ids: node>=0, read = -1-idx.
-    std::map<i32, std::vector<ConsumerRef>> cons;
-    auto add_edges = [&](std::vector<i32> &list, ConsumerRef::Kind k,
-                         u32 idx) {
-        for (i32 p : list)
-            cons[p].push_back({k, idx});
-        list.clear();
-    };
     for (u32 i = 0; i < hb.nodes.size(); ++i) {
-        add_edges(hb.nodes[i].in0, ConsumerRef::Kind::Op0, i);
-        add_edges(hb.nodes[i].in1, ConsumerRef::Kind::Op1, i);
-        if (hb.nodes[i].predNode >= 0) {
-            cons[hb.nodes[i].predNode].push_back(
-                {ConsumerRef::Kind::Pred, i});
-            hb.nodes[i].predNode = -1000000;  // reconnected below
-        }
+        const TNode &n = hb.nodes[i];
+        for (i32 p : n.in0)
+            f(slots(p), ConsumerRef::Kind::Op0, i);
+        for (i32 p : n.in1)
+            f(slots(p), ConsumerRef::Kind::Op1, i);
+        if (n.predNode >= 0)
+            f(slots(n.predNode), ConsumerRef::Kind::Pred, i);
     }
-    for (u32 w = 0; w < hb.writes.size(); ++w)
-        add_edges(hb.writes[w].prods, ConsumerRef::Kind::Write, w);
+    for (u32 w = 0; w < hb.writes.size(); ++w) {
+        for (i32 p : hb.writes[w].prods)
+            f(slots(p), ConsumerRef::Kind::Write, w);
+    }
+}
 
-    // Re-attach respecting capacities, inserting movs.
-    auto attach = [&](i32 prod, const ConsumerRef &c) {
+/**
+ * The fanout tree shape: `count` consumers beyond a producer's
+ * capacity are dealt round-robin into `cap` groups, and group g gets
+ * this many of them. Singleton groups attach directly; every larger
+ * group hangs off a fresh MOV (capacity 2) that recurses.
+ */
+u32
+fanoutGroupSize(u32 count, unsigned g, unsigned cap)
+{
+    return (count - g + cap - 1) / cap;
+}
+
+/** MOVs the fanout tree adds for a producer with `k` consumers and
+ *  target capacity `cap` (the tree FanoutBuilder::place builds). */
+u32
+fanoutMovs(u32 k, unsigned cap)
+{
+    TRIPS_ASSERT(cap >= 1, "producer without targets has consumers");
+    if (k <= cap)
+        return 0;
+    u32 movs = 0;
+    for (unsigned g = 0; g < cap; ++g) {
+        const u32 size = fanoutGroupSize(k, g, cap);
+        if (size >= 2)
+            movs += 1 + fanoutMovs(size, 2);
+    }
+    return movs;
+}
+
+/** Consumer edges per producer slot. */
+std::vector<u32>
+consumerCounts(const HBlock &hb, const ProducerSlots &slots)
+{
+    std::vector<u32> uses(slots.reads + slots.nodes, 0);
+    forEachEdge(hb, slots, [&](u32 s, ConsumerRef::Kind, u32) { ++uses[s]; });
+    return uses;
+}
+
+/** MOVs fanout adds to the whole block, given consumerCounts(). */
+u32
+blockFanoutMovs(const HBlock &hb, const ProducerSlots &slots,
+                const std::vector<u32> &uses)
+{
+    u32 movs = 0;
+    for (u32 s = 0; s < uses.size(); ++s) {
+        if (uses[s] > 0)
+            movs += fanoutMovs(uses[s], slotCapacity(hb, slots, s));
+    }
+    return movs;
+}
+
+/** Builds the MOV trees over a CSR consumer array. */
+struct FanoutBuilder
+{
+    HBlock &hb;
+    const std::vector<ConsumerRef> &edges;
+
+    void
+    attach(i32 prod, const ConsumerRef &c)
+    {
         switch (c.kind) {
           case ConsumerRef::Kind::Op0:
             hb.nodes[c.index].in0.push_back(prod);
@@ -106,61 +191,101 @@ fanoutPass(HBlock &hb)
             hb.writes[c.index].prods.push_back(prod);
             break;
         }
-    };
-
-    // Recursive tree build. Consumers of `prod` split into `cap`
-    // groups; singleton groups attach directly, larger groups go
-    // through a fresh MOV (capacity 2).
-    std::function<void(i32, std::vector<ConsumerRef>, unsigned)> place =
-        [&](i32 prod, std::vector<ConsumerRef> list, unsigned cap) {
-            TRIPS_ASSERT(cap >= 1);
-            if (list.size() <= cap) {
-                for (const auto &c : list)
-                    attach(prod, c);
-                return;
-            }
-            // Split into cap balanced groups.
-            std::vector<std::vector<ConsumerRef>> groups(cap);
-            for (size_t i = 0; i < list.size(); ++i)
-                groups[i % cap].push_back(list[i]);
-            for (auto &grp : groups) {
-                if (grp.empty())
-                    continue;
-                if (grp.size() == 1) {
-                    attach(prod, grp[0]);
-                    continue;
-                }
-                u32 mv = static_cast<u32>(hb.nodes.size());
-                hb.nodes.push_back(TNode{});
-                hb.nodes.back().op = Opcode::MOV;
-                hb.nodes.back().predNode = -1;
-                attach(prod, {ConsumerRef::Kind::Op0, mv});
-                place(static_cast<i32>(mv), std::move(grp), 2);
-            }
-        };
-
-    for (auto &[prod, list] : cons) {
-        unsigned cap = prod >= 0 ? nodeCapacity(hb.nodes[prod]) : 2u;
-        place(prod, list, cap);
     }
-    // Sanity: no dangling pred markers.
-    for (auto &n : hb.nodes) {
-        if (n.predNode == -1000000)
+
+    /**
+     * Attach the `count` consumers edges[first + j * stride] to `prod`.
+     * Beyond its capacity they split round-robin into `cap` groups —
+     * group g is the fanoutGroupSize() slice starting at element g
+     * with stride `stride * cap` — and each group of two or more goes
+     * through a fresh MOV, depth first, so MOV ids come out in tree
+     * preorder.
+     */
+    void
+    place(i32 prod, u32 first, u32 stride, u32 count, unsigned cap)
+    {
+        TRIPS_ASSERT(cap >= 1, "producer without targets has consumers");
+        if (count <= cap) {
+            for (u32 j = 0; j < count; ++j)
+                attach(prod, edges[first + j * stride]);
+            return;
+        }
+        for (unsigned g = 0; g < cap; ++g) {
+            const u32 size = fanoutGroupSize(count, g, cap);
+            const u32 head = first + g * stride;
+            if (size == 1) {
+                attach(prod, edges[head]);
+                continue;
+            }
+            const u32 mv = static_cast<u32>(hb.nodes.size());
+            hb.nodes.push_back(TNode{});
+            hb.nodes.back().op = Opcode::MOV;
+            hb.nodes.back().predNode = -1;
+            attach(prod, {ConsumerRef::Kind::Op0, mv});
+            place(static_cast<i32>(mv), head, stride * cap, size, 2);
+        }
+    }
+};
+
+} // namespace
+
+void
+fanoutPass(HBlock &hb)
+{
+    const ProducerSlots slots{static_cast<u32>(hb.reads.size()),
+                              static_cast<u32>(hb.nodes.size())};
+    const u32 nslots = slots.reads + slots.nodes;
+
+    // Consumer edges in CSR form, grouped by producer slot; within a
+    // producer they keep the order forEachEdge visits them in.
+    const std::vector<u32> uses = consumerCounts(hb, slots);
+    std::vector<u32> start(nslots + 1, 0);
+    for (u32 s = 0; s < nslots; ++s)
+        start[s + 1] = start[s] + uses[s];
+    std::vector<ConsumerRef> edges(start[nslots]);
+    std::vector<u32> cursor(start.begin(), start.end() - 1);
+    forEachEdge(hb, slots, [&](u32 s, ConsumerRef::Kind k, u32 idx) {
+        edges[cursor[s]++] = {k, idx};
+    });
+
+    // Detach every edge; the builder re-attaches each exactly once.
+    for (TNode &n : hb.nodes) {
+        n.in0.clear();
+        n.in1.clear();
+        if (n.predNode >= 0)
             n.predNode = -1;
     }
+    for (HWrite &w : hb.writes)
+        w.prods.clear();
+
+    FanoutBuilder fb{hb, edges};
+    auto visit = [&](u32 s) {
+        if (uses[s] > 0)
+            fb.place(slots.producer(s), start[s], 1, uses[s],
+                     slotCapacity(hb, slots, s));
+    };
+    for (u32 r = slots.reads; r-- > 0;)
+        visit(r);
+    for (u32 s = slots.reads; s < nslots; ++s)
+        visit(s);
 }
 
 // ---------------------------------------------------------------------
-// Block-limit check (trial fanout)
+// Block-limit check
 // ---------------------------------------------------------------------
 
 std::string
 checkBlockLimits(const HBlock &hb)
 {
-    HBlock trial = hb;
-    fanoutPass(trial);
-    if (trial.nodes.size() > isa::MAX_INSTS)
-        return "instructions: " + std::to_string(trial.nodes.size());
+    // The post-fanout size is the node count plus each producer's MOV
+    // tree, which depends only on its consumer count and capacity.
+    const ProducerSlots slots{static_cast<u32>(hb.reads.size()),
+                              static_cast<u32>(hb.nodes.size())};
+    const size_t insts =
+        hb.nodes.size() +
+        blockFanoutMovs(hb, slots, consumerCounts(hb, slots));
+    if (insts > isa::MAX_INSTS)
+        return "instructions: " + std::to_string(insts);
     if (hb.reads.size() > isa::MAX_READS)
         return "reads: " + std::to_string(hb.reads.size());
     if (hb.writes.size() > isa::MAX_WRITES)
@@ -739,16 +864,26 @@ emitBlock(const HBlock &hb, const std::string &fname,
 
     isa::Block blk;
     blk.label = hb.label;
+    blk.insts.resize(hb.nodes.size());
+    blk.reads.resize(hb.reads.size());
 
-    // Consumer edges -> target fields.
-    std::vector<std::vector<isa::Target>> targets(hb.nodes.size());
-    std::vector<std::vector<isa::Target>> read_targets(hb.reads.size());
+    // Consumer edges -> target fields, straight into the encoded slots;
+    // `given` counts every edge so a fanout failure is still caught
+    // below even when it overflows the two fields.
+    std::vector<u32> given(hb.reads.size() + hb.nodes.size(), 0);
     auto add_target = [&](i32 prod, isa::Target t) {
+        isa::Target *fields;
+        u32 *n;
         if (prod >= 0) {
-            targets[prod].push_back(t);
+            fields = blk.insts[prod].targets;
+            n = &given[hb.reads.size() + static_cast<u32>(prod)];
         } else {
-            read_targets[-1 - prod].push_back(t);
+            fields = blk.reads[-1 - prod].targets;
+            n = &given[static_cast<u32>(-1 - prod)];
         }
+        if (*n < 2)
+            fields[*n] = t;
+        ++*n;
     };
     for (u32 i = 0; i < hb.nodes.size(); ++i) {
         const TNode &n = hb.nodes[i];
@@ -768,7 +903,7 @@ emitBlock(const HBlock &hb, const std::string &fname,
     unsigned exit_no = 0;
     for (u32 i = 0; i < hb.nodes.size(); ++i) {
         const TNode &n = hb.nodes[i];
-        isa::Instruction inst;
+        isa::Instruction &inst = blk.insts[i];
         inst.op = n.op;
         inst.imm = static_cast<i32>(n.imm);
         limit(n.lsid < isa::MAX_LSIDS || !isa::isMemory(n.op), "LSIDs",
@@ -780,34 +915,22 @@ emitBlock(const HBlock &hb, const std::string &fname,
             limit(exit_no < isa::MAX_EXITS, "exits", exit_no + 1,
                   isa::MAX_EXITS);
             inst.exit = static_cast<u8>(exit_no++);
-            if (n.op != Opcode::RET) {
-                fixups.emplace_back(
-                    static_cast<u32>(blk.insts.size()), n.targetLabel);
-            }
-            if (n.op == Opcode::CALLO) {
-                ret_fixups.emplace_back(
-                    static_cast<u32>(blk.insts.size()), n.returnLabel);
-            }
+            if (n.op != Opcode::RET)
+                fixups.emplace_back(i, n.targetLabel);
+            if (n.op == Opcode::CALLO)
+                ret_fixups.emplace_back(i, n.returnLabel);
         }
-        const auto &tl = targets[i];
-        TRIPS_ASSERT(tl.size() <= isa::opInfo(n.op).numTargets,
+        TRIPS_ASSERT(given[hb.reads.size() + i] <=
+                         isa::opInfo(n.op).numTargets,
                      "fanout failed for ", isa::opName(n.op), " in ",
                      fname, " block ", hb.label);
-        for (size_t t = 0; t < tl.size(); ++t)
-            inst.targets[t] = tl[t];
         if (isStore(n.op))
             blk.storeMask |= 1u << n.lsid;
-        blk.insts.push_back(inst);
     }
     for (u32 r = 0; r < hb.reads.size(); ++r) {
-        isa::ReadInst ri;
-        ri.reg = static_cast<u8>(hb.reads[r].assignedReg);
-        const auto &tl = read_targets[r];
-        TRIPS_ASSERT(tl.size() <= 2, "read fanout failed in ", fname,
+        blk.reads[r].reg = static_cast<u8>(hb.reads[r].assignedReg);
+        TRIPS_ASSERT(given[r] <= 2, "read fanout failed in ", fname,
                      " block ", hb.label);
-        for (size_t t = 0; t < tl.size(); ++t)
-            ri.targets[t] = tl[t];
-        blk.reads.push_back(ri);
     }
     for (auto &w : hb.writes) {
         isa::WriteInst wi;

@@ -135,8 +135,12 @@ class Frontend
 
 /**
  * Would this TIL block fit the prototype block format once fanout has
- * run? Returns "" or the limit it breaches (trial-runs fanout on a
- * copy; the block itself is not modified).
+ * run? Returns "" or the first limit it breaches ("instructions: N"
+ * with the exact post-fanout count, then reads, writes, LSIDs, exits).
+ * The post-fanout size is computed, not trial-run: the MOVs fanout
+ * adds for a producer depend only on its consumer count and target
+ * capacity, so the check counts consumers per producer and sums the
+ * tree sizes without copying the block.
  */
 std::string checkBlockLimits(const til::HBlock &hb);
 
@@ -164,6 +168,14 @@ std::vector<til::HBlock> splitPass(til::HBlock hb,
 /**
  * Pass 4 — fanout: ensure no producer exceeds its target capacity by
  * inserting MOV trees. Rewrites all operand lists of the block.
+ *
+ * A producer with k consumers and capacity cap (register reads: 2)
+ * keeps them if k <= cap; otherwise they are dealt round-robin into
+ * cap groups, a singleton group attaches directly, and each larger
+ * group hangs off a fresh MOV (capacity 2) that recurses. Producers
+ * are visited reads first in descending index, then nodes ascending,
+ * and MOVs are numbered depth first, so MOV ids are a pure function
+ * of the block.
  */
 void fanoutPass(til::HBlock &hb);
 

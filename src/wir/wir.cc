@@ -4,15 +4,15 @@
 
 namespace trips::wir {
 
-std::vector<u32>
+Function::Successors
 Function::successors(u32 bb) const
 {
     const auto &t = blocks.at(bb).term;
     switch (t.kind) {
       case TermKind::Br:
-        return {t.thenBlock, t.elseBlock};
+        return {{t.thenBlock, t.elseBlock}, 2};
       case TermKind::Jmp:
-        return {t.thenBlock};
+        return {{t.thenBlock, 0}, 1};
       case TermKind::Ret:
         return {};
     }

@@ -87,8 +87,17 @@ struct Function
     Vreg nextVreg = 0;          ///< first unallocated vreg id
     std::vector<BasicBlock> blocks;  ///< entry is blocks[0]
 
-    /** Successor block ids of a block. */
-    std::vector<u32> successors(u32 bb) const;
+    /** Successor block ids of a block, in a fixed range that
+     *  allocates nothing: Br yields then, else; Jmp its target. */
+    struct Successors
+    {
+        u32 ids[2] = {0, 0};
+        u32 count = 0;
+
+        const u32 *begin() const { return ids; }
+        const u32 *end() const { return ids + count; }
+    };
+    Successors successors(u32 bb) const;
 };
 
 /** A named byte region in the data segment. */

@@ -2,10 +2,12 @@
  * @file
  * The TRIPS backend pass pipeline: per-pass CompileStats pinned on
  * golden workloads (the mov/null/test instruction mix behind the
- * paper's Fig. 5 composition breakdown), the TIL structural verifier
- * against hand-broken graphs, and the block-splitting pass on
- * programs that exceed the prototype block limits the seed backend
- * fataled on.
+ * paper's Fig. 5 composition breakdown), golden digests of the whole
+ * compile output (code, placement, addresses, stats) on registry and
+ * generated programs, the analytic block-limit check against trial
+ * fanout, the TIL structural verifier against hand-broken graphs, and
+ * the block-splitting pass on programs that exceed the prototype block
+ * limits the seed backend fataled on.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,8 @@
 #include "compiler/spill.hh"
 #include "compiler/til.hh"
 #include "core/machines.hh"
+#include "harness/fuzzgen.hh"
+#include "harness/sweep.hh"
 #include "isa/disasm.hh"
 #include "wir/builder.hh"
 
@@ -193,6 +197,135 @@ TEST(PassStats, AllPresetsCompileUnderTilVerification)
         compileWorkload(w.name.c_str(), compiler::Options::basicBlock());
     }
     SUCCEED();
+}
+
+// ---------------------------------------------------------------------
+// Compile-output golden digest. One FNV-1a digest over everything the
+// backend decides — disassembly, each block's ET placement and
+// address, and every CompileStats field — for the registry workloads
+// and slices of generated programs, including grown shapes (block
+// splitting, retry ladder) and pinned-live shapes (spill-to-memory).
+// A program that fails to compile contributes its error text. Any
+// change to compiled code, placement or pass accounting moves it.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** FNV-1a over little-endian fields and raw strings. */
+struct Digest
+{
+    u64 h = 0xcbf29ce484222325ull;
+
+    void
+    byte(u8 b)
+    {
+        h = (h ^ b) * 0x100000001b3ull;
+    }
+
+    void
+    put(u64 v, int bytes = 8)
+    {
+        for (int i = 0; i < bytes; ++i)
+            byte(static_cast<u8>(v >> (8 * i)));
+    }
+
+    void
+    str(const std::string &s)
+    {
+        put(s.size());
+        for (char c : s)
+            byte(static_cast<u8>(c));
+    }
+};
+
+void
+digestCompile(Digest &d, const wir::Module &mod,
+              const compiler::Options &opts)
+{
+    compiler::CompileStats cs;
+    try {
+        auto prog = compiler::compileToTrips(mod, opts, &cs);
+        d.put(1, 1);
+        d.str(isa::disasmProgram(prog));
+        d.put(prog.numBlocks(), 4);
+        for (u32 b = 0; b < prog.numBlocks(); ++b) {
+            d.put(prog.blockAddr(b));
+            for (u8 et : prog.block(b).placement)
+                d.put(et, 1);
+        }
+    } catch (const std::exception &e) {
+        d.put(0, 1);
+        d.str(e.what());
+        return;
+    }
+    for (u64 v : {u64{cs.functions}, u64{cs.regions}, u64{cs.blocks},
+                  cs.totalInsts, cs.movInsts, cs.nullInsts, cs.testInsts,
+                  u64{cs.splitBlocks}, cs.spillWrites, cs.spillReads,
+                  u64{cs.overflowRetries}, u64{cs.spilledValues},
+                  u64{cs.spillSlots}, cs.spillLoads, cs.spillStores,
+                  u64{cs.spillRounds}})
+        d.put(v);
+    for (const auto &pc : cs.pass) {
+        for (u64 v : {pc.tilBlocks, pc.tilNodes, pc.movNodes, pc.nullNodes,
+                      pc.testNodes, pc.addedNodes})
+            d.put(v);
+    }
+}
+
+/** Digest `count` generated programs of one shape under both presets. */
+u64
+fuzzCompileDigest(u64 base, u64 count, const harness::ShapeConfig &shape)
+{
+    Digest d;
+    for (u64 i = 0; i < count; ++i) {
+        wir::Module mod = harness::generate(harness::taskSeed(base, i), shape);
+        digestCompile(d, mod, compiler::Options::compiled());
+        digestCompile(d, mod, compiler::Options::hand());
+    }
+    return d.h;
+}
+
+constexpr u64 COMPILE_GOLDEN_BASE = 0xc0de;
+
+} // namespace
+
+TEST(CompileGolden, RegistryWorkloads)
+{
+    Digest d;
+    for (const auto &w : workloads::all()) {
+        wir::Module mod;
+        w.build(mod);
+        d.str(w.name);
+        digestCompile(d, mod, compiler::Options::compiled());
+        digestCompile(d, mod, compiler::Options::hand());
+    }
+    EXPECT_EQ(d.h, 0x902b2b2737c656baull);
+}
+
+TEST(CompileGolden, GeneratedPrograms)
+{
+    EXPECT_EQ(fuzzCompileDigest(COMPILE_GOLDEN_BASE, 512,
+                                harness::ShapeConfig{}),
+              0x52984c5fe876293bull);
+}
+
+TEST(CompileGolden, GrownProgramsSplitAndRetry)
+{
+    // --grow 2: graphs past the block limits, so the retry ladder and
+    // the splitting pass both run.
+    EXPECT_EQ(fuzzCompileDigest(COMPILE_GOLDEN_BASE + 1, 32,
+                                harness::ShapeConfig{}.grown(2)),
+              0x67381e257acfbc7cull);
+}
+
+TEST(CompileGolden, PinnedLiveProgramsSpill)
+{
+    // --live 140: more cross-region values than registers, so every
+    // program goes through the spill-to-memory fixed point.
+    harness::ShapeConfig shape;
+    shape.liveValues = 140;
+    EXPECT_EQ(fuzzCompileDigest(COMPILE_GOLDEN_BASE + 2, 16, shape),
+              0xcb0d86583f5a800bull);
 }
 
 // ---------------------------------------------------------------------
@@ -487,6 +620,103 @@ TEST(TilDump, NamesNodesReadsWritesAndTargets)
     EXPECT_NE(d.find("p=+n0"), std::string::npos);
     EXPECT_NE(d.find("-> t.r1"), std::string::npos);
     EXPECT_NE(d.find("write w0: v101"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Block-limit check: the analytic post-fanout instruction count must
+// agree with actually running fanout on a copy of the block.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Post-fanout node count, by running the fanout pass on a copy. */
+size_t
+trialFanoutNodes(const HBlock &hb)
+{
+    HBlock trial = hb;
+    compiler::fanoutPass(trial);
+    return trial.nodes.size();
+}
+
+/** checkBlockLimits reports "instructions: N" exactly when fanout
+ *  yields N > MAX_INSTS nodes. Returns whether the block overflowed. */
+bool
+expectInstructionCountAgrees(const HBlock &hb)
+{
+    const size_t nodes = trialFanoutNodes(hb);
+    const std::string got = compiler::checkBlockLimits(hb);
+    if (nodes > isa::MAX_INSTS) {
+        EXPECT_EQ(got, "instructions: " + std::to_string(nodes));
+        return true;
+    }
+    EXPECT_EQ(got.rfind("instructions", 0), std::string::npos) << got;
+    return false;
+}
+
+} // namespace
+
+TEST(BlockLimits, AnalyticCountMatchesTrialFanoutOnGeneratedTil)
+{
+    // Every pre-fanout TIL block if-conversion produces, oversized
+    // regions included, over default and grown generated programs.
+    unsigned blocks = 0, overflows = 0;
+    auto check = [&](u64 base, unsigned count,
+                     const harness::ShapeConfig &shape) {
+        for (unsigned i = 0; i < count; ++i) {
+            wir::Module mod =
+                harness::generate(harness::taskSeed(base, i), shape);
+            for (const auto &opts : {compiler::Options::compiled(),
+                                     compiler::Options::hand()}) {
+                for (const auto &[fname, fn] : mod.functions) {
+                    compiler::Frontend fe(mod, fname, opts);
+                    fe.normalize();
+                    fe.allowOversized(true);
+                    fe.formRegions({});
+                    for (const HBlock &hb : fe.ifConvert()) {
+                        SCOPED_TRACE(hb.label);
+                        ++blocks;
+                        overflows += expectInstructionCountAgrees(hb);
+                    }
+                }
+            }
+        }
+    };
+    check(0xfa0, 200, harness::ShapeConfig{});
+    check(0xfa1, 40, harness::ShapeConfig{}.grown(2));
+    EXPECT_GT(blocks, 10000u);
+    EXPECT_GT(overflows, 200u);
+}
+
+TEST(BlockLimits, AnalyticCountMatchesTrialFanoutAtTheLimit)
+{
+    // One producer of capacity 1 (ADDI) or 2 (NOT) feeding k consumers,
+    // padded with unconsumed GENS nodes so the post-fanout block lands
+    // on MAX_INSTS - 1, MAX_INSTS and MAX_INSTS + 1.
+    for (Opcode prodOp : {Opcode::ADDI, Opcode::NOT}) {
+        for (unsigned k = 1; k <= 40; ++k) {
+            auto build = [&](size_t pad) {
+                HBlock hb = skeleton();
+                i32 p = addNode(hb, prodOp, {READ0});
+                for (unsigned c = 0; c < k; ++c)
+                    addNode(hb, Opcode::ADDI, {p});
+                for (size_t f = 0; f < pad; ++f)
+                    addNode(hb, Opcode::GENS);
+                addExit(hb);
+                return hb;
+            };
+            const size_t base = trialFanoutNodes(build(0));
+            for (size_t want :
+                 {isa::MAX_INSTS - 1, isa::MAX_INSTS, isa::MAX_INSTS + 1}) {
+                SCOPED_TRACE(std::string(isa::opName(prodOp)) + " k=" +
+                             std::to_string(k) + " size " +
+                             std::to_string(want));
+                HBlock hb = build(want - base);
+                ASSERT_EQ(trialFanoutNodes(hb), want);
+                EXPECT_EQ(expectInstructionCountAgrees(hb),
+                          want > isa::MAX_INSTS);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
