@@ -8,6 +8,7 @@
 
 #include "compiler/codegen.hh"
 #include "core/machines.hh"
+#include "net/opn_load.hh"
 #include "obs/obs.hh"
 #include "uarch/chip_sim.hh"
 #include "wir/interp.hh"
@@ -144,6 +145,60 @@ static void BM_ChipSim_parallel(benchmark::State &state) {
         benchmark::DoNotOptimize(f.run(uarch::ChipEngine::Parallel));
 }
 BENCHMARK(BM_ChipSim_parallel)->Unit(benchmark::kMillisecond);
+
+// The bare OPN router on the Opn.ModerateLoadGolden load
+// (net/opn_load.hh). The offered stream, retries included, is recorded
+// once up front, so the timed loop is only inject + tick: whole-run
+// A/B pairs on a shared host differ by more than a router change
+// moves them, while one stream replayed in one process sizes the
+// router alone. One iteration is 100K ticks, so ms/iteration x 10 is
+// ns per tick.
+namespace {
+
+struct OpnStream {
+    static constexpr Cycle TICKS = 100'000;
+    std::vector<net::OpnPacket> offers;
+    std::vector<u32> perTick;
+
+    OpnStream() {
+        struct Recorder {
+            net::OpnNetwork &opn;
+            std::vector<net::OpnPacket> &log;
+            bool inject(const net::OpnPacket &p, Cycle now) {
+                log.push_back(p);
+                return opn.inject(p, now);
+            }
+        };
+        net::OpnNetwork opn;
+        net::OpnLoad load(0x5eed0f1a);
+        Recorder rec{opn, offers};
+        for (Cycle t = 1; t <= TICKS; ++t) {
+            size_t before = offers.size();
+            load.inject(rec, t);
+            perTick.push_back(static_cast<u32>(offers.size() - before));
+            opn.tick(t);
+        }
+    }
+};
+
+} // namespace
+
+static void BM_OpnRouter(benchmark::State &state) {
+    static const OpnStream stream;
+    u64 delivered = 0;
+    for (auto _ : state) {
+        net::OpnNetwork opn;
+        size_t next = 0;
+        for (Cycle t = 1; t <= OpnStream::TICKS; ++t) {
+            for (u32 k = 0; k < stream.perTick[t - 1]; ++k)
+                opn.inject(stream.offers[next++], t);
+            opn.tick(t);
+            delivered += opn.delivered().size();
+        }
+    }
+    benchmark::DoNotOptimize(delivered);
+}
+BENCHMARK(BM_OpnRouter)->Unit(benchmark::kMillisecond);
 
 static void BM_OooModel(benchmark::State &state) {
     const auto &w = workloads::find("rspeed");

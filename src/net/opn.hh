@@ -45,26 +45,27 @@ namespace opn_detail {
 constexpr unsigned NODES = isa::OPN_ROWS * isa::OPN_COLS;
 constexpr unsigned PORT_N = 0, PORT_E = 1, PORT_S = 2, PORT_W = 3;
 constexpr unsigned PORT_LOCAL = 4;
-
-/** Where a flit leaving a router through a mesh port lands. */
-struct Link
-{
-    u8 node = 0;    ///< neighbouring router
-    u8 port = 0;    ///< its input port facing back at us
-};
+/** Input FIFOs, one per (node, input port): FIFO f is node f / 5,
+ *  port f % 5. Index FIFOS stands for "ejected at this node". */
+constexpr unsigned FIFOS = NODES * 5;
 
 /**
  * The mesh is 25 nodes, so every routing decision is a pure function
- * over a tiny domain, tabulated at compile time: the Y-then-X output
- * port and hop count per (node, dst), and the (neighbour, input port)
- * each mesh output port leads to. Ports that would leave the mesh are
- * never selected by dimension-order routing and stay zero.
+ * over a tiny domain, tabulated at compile time. A router's output is
+ * named by its claim key node * 5 + port (the same numbering as the
+ * FIFOs). Per (node, dst): the Y-then-X claim key and the hop count;
+ * per claim key: the FIFO the flit lands in next (the neighbour's
+ * input port facing back at us), or FIFOS for the local port.
  */
 struct RouteTables
 {
-    u8 port[NODES][NODES] = {};
+    u8 key[NODES][NODES] = {};
     u8 hops[NODES][NODES] = {};
-    Link link[NODES][4] = {};
+    u8 down[FIFOS] = {};
+    /** Per round-robin pointer and input port: the arbitration bid,
+     *  rank << 3 | port, where rank is the port's distance from the
+     *  pointer (lower wins). */
+    u8 bid[5][5] = {};
 };
 
 constexpr RouteTables
@@ -76,7 +77,7 @@ makeRouteTables()
         unsigned nr = n / C, nc = n % C;
         for (unsigned d = 0; d < NODES; ++d) {
             unsigned dr = d / C, dc = d % C;
-            u8 p = PORT_LOCAL;
+            unsigned p = PORT_LOCAL;
             if (dr < nr)
                 p = PORT_N;
             else if (dr > nr)
@@ -85,20 +86,27 @@ makeRouteTables()
                 p = PORT_E;
             else if (dc < nc)
                 p = PORT_W;
-            t.port[n][d] = p;
+            t.key[n][d] = static_cast<u8>(n * 5 + p);
             t.hops[n][d] = static_cast<u8>(
                 (nr > dr ? nr - dr : dr - nr) +
                 (nc > dc ? nc - dc : dc - nc));
         }
+        // Ports that would leave the mesh are never selected by
+        // dimension-order routing; point them at the ejection index.
+        for (unsigned p = 0; p < 5; ++p)
+            t.down[n * 5 + p] = FIFOS;
         if (nr > 0)
-            t.link[n][PORT_N] = {static_cast<u8>(n - C), PORT_S};
+            t.down[n * 5 + PORT_N] = static_cast<u8>((n - C) * 5 + PORT_S);
         if (nc + 1 < C)
-            t.link[n][PORT_E] = {static_cast<u8>(n + 1), PORT_W};
+            t.down[n * 5 + PORT_E] = static_cast<u8>((n + 1) * 5 + PORT_W);
         if (nr + 1 < isa::OPN_ROWS)
-            t.link[n][PORT_S] = {static_cast<u8>(n + C), PORT_N};
+            t.down[n * 5 + PORT_S] = static_cast<u8>((n + C) * 5 + PORT_N);
         if (nc > 0)
-            t.link[n][PORT_W] = {static_cast<u8>(n - 1), PORT_E};
+            t.down[n * 5 + PORT_W] = static_cast<u8>((n - 1) * 5 + PORT_E);
     }
+    for (unsigned cur = 0; cur < 5; ++cur)
+        for (unsigned in = 0; in < 5; ++in)
+            t.bid[cur][in] = static_cast<u8>((in + 5 - cur) % 5 << 3 | in);
     return t;
 }
 
@@ -112,7 +120,13 @@ class OpnNetwork
     static constexpr unsigned NODES = opn_detail::NODES;
     static constexpr unsigned FIFO_DEPTH = 4;
 
-    OpnNetwork() { arrivals.reserve(NODES); }
+    OpnNetwork()
+    {
+        arrivals.reserve(NODES);
+        claim.fill(NO_CLAIM);
+        for (unsigned i = 0; i < SLOTS; ++i)
+            freeSlots[i] = static_cast<u16>(SLOTS - 1 - i);
+    }
 
     /**
      * Inject a packet at its source node. Returns false when the
@@ -123,22 +137,25 @@ class OpnNetwork
     bool
     inject(OpnPacket pkt, Cycle now)
     {
-        if (meta[pkt.src][opn_detail::PORT_LOCAL].size >= FIFO_DEPTH)
+        const unsigned f = pkt.src * 5u + opn_detail::PORT_LOCAL;
+        if (depth[f] >= FIFO_DEPTH)
             return false;
+        const u16 slot = freeSlots[--numFree];
         pkt.injected = now;
-        push(pkt.src, opn_detail::PORT_LOCAL, pkt);
+        flits[slot] = pkt;
+        push(f, static_cast<u16>(slot << 5 | pkt.dst));
         ++packets;
         return true;
     }
 
     /**
      * Advance one cycle and hand each packet that reaches its
-     * destination to @p sink, called as sink(const OpnPacket &) in move
-     * order (ascending node, round-robin port order within a node).
-     * The tick is two-phase: every router arbitrates against the
-     * start-of-tick FIFO state, then the winning flits move. The sink
-     * runs during the move phase, so it must not touch this network
-     * (inject() included).
+     * destination to @p sink, called as sink(const OpnPacket &) in
+     * ascending destination-node order (a node ejects at most one flit
+     * per tick). The tick is two-phase: every router arbitrates against
+     * the start-of-tick FIFO state, then the winning flits move. The
+     * sink runs during the move phase, so it must not touch this
+     * network (inject() included).
      */
     template <class Sink>
     void tick(Cycle now, Sink &&sink);
@@ -155,10 +172,23 @@ class OpnNetwork
      *  next tick). */
     const std::vector<OpnPacket> &delivered() const { return arrivals; }
 
-    /** Per-class hop distributions (bucket = hop count). */
-    const Distribution &hopDist(OpnClass c) const
+    /** No flit anywhere in the mesh: a tick would only advance the
+     *  round-robin pointer. */
+    bool empty() const { return (occ[0] | occ[1]) == 0; }
+
+    /** Per-class hop distributions (bucket = hop count), built from
+     *  the per-class counters on each call. */
+    const Distribution &
+    hopDist(OpnClass c) const
     {
-        return hop_dist[static_cast<size_t>(c)];
+        const size_t ci = static_cast<size_t>(c);
+        Distribution &d = hop_dist[ci];
+        d.reset();
+        for (unsigned h = 0; h <= MAX_HOPS; ++h) {
+            if (hopCount[ci][h])
+                d.sample(h, hopCount[ci][h]);
+        }
+        return d;
     }
 
     u64 packetsSent() const { return packets; }
@@ -168,73 +198,71 @@ class OpnNetwork
     }
 
   private:
-    static_assert(NODES <= 64, "node occupancy mask is one u64");
+    static constexpr unsigned FIFOS = opn_detail::FIFOS;
+    /** Every flit in the mesh sits in some FIFO slot, so this many
+     *  flit-table entries can never run out. */
+    static constexpr unsigned SLOTS = FIFOS * FIFO_DEPTH;
+    static constexpr unsigned MAX_HOPS =
+        isa::OPN_ROWS + isa::OPN_COLS - 2;
+    static constexpr size_t NUM_CLASSES =
+        static_cast<size_t>(OpnClass::NUM_CLASSES);
+    static_assert(SLOTS <= (1u << 11) && NODES <= 32,
+                  "a flit handle is a 11-bit slot and a 5-bit dst");
+    static_assert(FIFOS <= 128, "FIFO occupancy is two u64 words");
 
     /**
-     * Input FIFOs: a fixed FIFO_DEPTH-entry ring per (node, input port,
-     * 0..3 = N,E,S,W, 4 = local), so steady state never allocates. The
-     * ring bookkeeping lives apart from the packets, together with the
-     * output port the head flit asks for (routing is a pure function of
-     * (node, dst), so it is looked up once when a flit reaches the head
-     * rather than on every tick it waits). The whole table is ~375
-     * bytes, so the per-tick arbitration scan stays in a handful of
-     * cache lines and the packet buffers are touched only when a flit
-     * actually moves.
+     * Each input FIFO is one u64 of four 16-bit flit handles, head in
+     * the low bits; a handle is (flit-table slot << 5 | dst), so
+     * arbitration routes the head without touching the flit table.
+     * depth[] counts the handles (entry FIFOS is the ejection
+     * pseudo-FIFO and stays 0, so "room downstream" needs no local-port
+     * test), and occ is a 125-bit set of the non-empty FIFOs. The
+     * whole arbitration state is ~1.2 KB; the 16-byte packets are
+     * touched only at inject and ejection.
      */
-    struct PortMeta
-    {
-        u8 size = 0;
-        u8 head = 0;
-        u8 out = 0;     ///< output port of the head flit (size > 0)
-    };
+    std::array<u64, FIFOS> fifo{};
+    std::array<u8, FIFOS + 1> depth{};
+    u64 occ[2] = {0, 0};
+    std::array<OpnPacket, SLOTS> flits{};
+    std::array<u16, SLOTS> freeSlots{};
+    unsigned numFree = SLOTS;
+    /** Per claim key during a tick: the best bid so far as round-robin
+     *  rank << 3 | input port, or NO_CLAIM (the value between ticks).
+     *  Entry FIFOS absorbs bids that found no room downstream. */
+    static constexpr u8 NO_CLAIM = 0xff;
+    std::array<u8, FIFOS + 1> claim;
+    /** Every router's round-robin pointer advances once per tick, so a
+     *  single 0..4 counter stands in for the per-node pointers. */
+    u8 rrPtr = 0;
 
-    std::array<std::array<PortMeta, 5>, NODES> meta{};
-    std::array<std::array<std::array<OpnPacket, FIFO_DEPTH>, 5>, NODES>
-        bufs{};
     /** Arrivals of the last tick(now); the sink form never fills it. */
     std::vector<OpnPacket> arrivals;
 
-    /**
-     * Occupancy tracking so tick() touches only routers that hold
-     * flits: one bit per node, plus a per-node bit per input port.
-     * Every router's round-robin pointer advances once per tick, so a
-     * single 0..4 counter stands in for the per-node pointers.
-     */
-    u64 nodeMask = 0;
-    std::array<u8, NODES> portMask{};
-    u8 rrPtr = 0;
-
+    /** Append handle @p h to FIFO @p f (depth[f] < FIFO_DEPTH). */
     void
-    push(unsigned node, unsigned port, const OpnPacket &pkt)
+    push(unsigned f, u16 h)
     {
-        PortMeta &pm = meta[node][port];
-        if (pm.size == 0)
-            pm.out = opn_detail::ROUTE.port[node][pkt.dst];
-        bufs[node][port][(pm.head + pm.size) % FIFO_DEPTH] = pkt;
-        ++pm.size;
-        portMask[node] |= static_cast<u8>(1u << port);
-        nodeMask |= u64{1} << node;
+        fifo[f] |= u64{h} << (16 * depth[f]);
+        ++depth[f];
+        occ[f >> 6] |= u64{1} << (f & 63);
     }
 
-    OpnPacket
-    pop(unsigned node, unsigned port)
+    /** Pop the head of the FIFO that won claim key @p k, resetting the
+     *  claim. */
+    u16
+    pop(unsigned k)
     {
-        PortMeta &pm = meta[node][port];
-        const auto &buf = bufs[node][port];
-        OpnPacket pkt = buf[pm.head];
-        pm.head = static_cast<u8>((pm.head + 1) % FIFO_DEPTH);
-        if (--pm.size > 0) {
-            pm.out = opn_detail::ROUTE.port[node][buf[pm.head].dst];
-        } else {
-            portMask[node] &= static_cast<u8>(~(1u << port));
-            if (portMask[node] == 0)
-                nodeMask &= ~(u64{1} << node);
-        }
-        return pkt;
+        const unsigned f = k - k % 5 + (claim[k] & 7);
+        claim[k] = NO_CLAIM;
+        const u16 h = static_cast<u16>(fifo[f]);
+        fifo[f] >>= 16;
+        --depth[f];
+        occ[f >> 6] &= ~(u64{depth[f] == 0} << (f & 63));
+        return h;
     }
 
-    std::array<Distribution, static_cast<size_t>(OpnClass::NUM_CLASSES)>
-        hop_dist;
+    u64 hopCount[NUM_CLASSES][MAX_HOPS + 1] = {};
+    mutable std::array<Distribution, NUM_CLASSES> hop_dist;
     u64 latSum = 0;       ///< integer accumulation: one add per arrival
     u64 latCount = 0;
     u64 packets = 0;
@@ -247,64 +275,64 @@ OpnNetwork::tick(Cycle now, Sink &&sink)
     using namespace opn_detail;
     const unsigned cur = rrPtr;
     rrPtr = static_cast<u8>(cur == 4 ? 0 : cur + 1);
-    if (!nodeMask)
+    if (empty())
         return;     // nothing in flight anywhere
 
-    // Phase 1: arbitrate. Scan only routers holding flits, ascending
-    // node order; all reads come from the compact meta table. Each
-    // router sends at most one flit per output port, so 5 moves per
-    // node bound the list.
-    struct Move
-    {
-        u8 node, in, out;
-    };
-    Move moves[NODES * 5];
-    unsigned n_moves = 0;
-    for (u64 m = nodeMask; m; m &= m - 1) {
-        const unsigned node = static_cast<unsigned>(__builtin_ctzll(m));
-        // One winner per output port; occupied inputs visited in
-        // round-robin order via the rotated port mask (visiting only
-        // non-empty ports is equivalent to skipping empty ones).
-        const auto &nm = meta[node];
-        const u8 pm = portMask[node];
-        u8 rot = static_cast<u8>(((pm >> cur) | (pm << (5 - cur))) & 31);
-        u8 port_used = 0;
-        while (rot) {
-            unsigned k = static_cast<unsigned>(__builtin_ctz(rot));
-            rot = static_cast<u8>(rot & (rot - 1));
-            unsigned in = cur + k;
-            if (in >= 5)
-                in -= 5;
-            const unsigned out = nm[in].out;
-            if (port_used & (1u << out))
-                continue;
-            if (out != PORT_LOCAL) {
-                // Flow control: space in the downstream FIFO.
-                const Link l = ROUTE.link[node][out];
-                if (meta[l.node][l.port].size >= FIFO_DEPTH)
-                    continue;
-            }
-            port_used = static_cast<u8>(port_used | (1u << out));
-            moves[n_moves++] = {static_cast<u8>(node), static_cast<u8>(in),
-                                static_cast<u8>(out)};
+    // Phase 1: arbitrate against start-of-tick state. One pass over
+    // the occupied FIFOs; each head flit with room downstream bids for
+    // its output, and the lowest round-robin rank (input port distance
+    // from the shared pointer) wins. All bidders for one output share
+    // its downstream FIFO, so this is the first requester with room in
+    // the rotated port scan. A bid without room goes to the spare
+    // claim slot FIFOS, so the loop has no data-dependent branch. The
+    // first bid on an output records its key, in ascending node order.
+    // Every occupied FIFO writes both lists at their current ends, so
+    // each needs an entry past its longest length: at most NODES
+    // ejections and 4 * NODES < FIFOS hops.
+    const u8 *bidOf = ROUTE.bid[cur];
+    u8 hops[FIFOS], ejects[NODES + 1];
+    unsigned nh = 0, ne = 0;
+    for (unsigned w = 0; w < 2; ++w) {
+        for (u64 m = occ[w]; m; m &= m - 1) {
+            const unsigned f = w * 64 + static_cast<unsigned>(
+                __builtin_ctzll(m));
+            const unsigned node = f / 5;
+            const unsigned k = ROUTE.key[node][fifo[f] & 31];
+            const unsigned d = ROUTE.down[k];
+            const bool room = depth[d] < FIFO_DEPTH;
+            const unsigned key = room ? k : FIFOS;
+            const u8 c = claim[key];
+            const u8 bid = bidOf[f - node * 5];
+            const bool first = room && c == NO_CLAIM;
+            const bool eject = d == FIFOS;
+            hops[nh] = static_cast<u8>(key);
+            ejects[ne] = static_cast<u8>(key);
+            nh += first && !eject;
+            ne += first && eject;
+            claim[key] = bid < c ? bid : c;
         }
     }
 
-    // Phase 2: move the winners, in arbitration order.
-    for (unsigned i = 0; i < n_moves; ++i) {
-        const Move mv = moves[i];
-        OpnPacket pkt = pop(mv.node, mv.in);
-        if (mv.out == PORT_LOCAL) {
-            const unsigned h = ROUTE.hops[pkt.src][pkt.dst];
-            pkt.hops = static_cast<u8>(h);
-            hop_dist[static_cast<size_t>(pkt.cls)].sample(h);
-            latSum += now - pkt.injected;
-            ++latCount;
-            sink(pkt);
-        } else {
-            const Link l = ROUTE.link[mv.node][mv.out];
-            push(l.node, l.port, pkt);
-        }
+    // Phase 2: move the winners. Each FIFO loses at most its head and
+    // gains at most one flit (its one upstream output), and a push
+    // only targets a FIFO that had room at the start of the tick, so
+    // the order of the moves does not change the final state: mesh
+    // hops go first, then ejections. Only ejections are observable in
+    // order: at most one per node, in ascending node order.
+    for (unsigned i = 0; i < nh; ++i) {
+        const unsigned k = hops[i];
+        push(ROUTE.down[k], pop(k));
+    }
+    for (unsigned i = 0; i < ne; ++i) {
+        const unsigned slot = pop(ejects[i]) >> 5;
+        OpnPacket &pkt = flits[slot];
+        const unsigned h = ROUTE.hops[pkt.src][pkt.dst];
+        pkt.hops = static_cast<u8>(h);
+        ++hopCount[static_cast<size_t>(pkt.cls)][h];
+        latSum += now - pkt.injected;
+        ++latCount;
+        sink(static_cast<const OpnPacket &>(pkt));
+        freeSlots[numFree++] = static_cast<u16>(slot);
     }
 }
 

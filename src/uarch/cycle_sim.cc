@@ -1080,6 +1080,23 @@ CycleSim::checkViolations(unsigned fidx, u16, Addr addr, u8 width,
 // Register tiles
 // ---------------------------------------------------------------------
 
+bool
+CycleSim::rtStillWaiting(const RtRead &rr) const
+{
+    // The walk in tickRts stopped at frame g. Every frame it passed on
+    // the way (younger than g, older than the reader) lacks the
+    // register or holds a null write for it, and neither changes while
+    // those frames live: a write slot is filled once, and a passed
+    // frame can only be freed by a flush that also squashes the reader
+    // or by a commit that must wait for g. Frames join the queue only
+    // at the young end. So the walk would stop at g again, with the
+    // same answer, while g is the same incarnation (same epoch) and
+    // its write slot is still empty.
+    const Frame &g = frames[rr.waitFidx];
+    return g.epoch == rr.waitEpoch &&
+           g.writeVals[rr.waitSlot].st == TOK_EMPTY;
+}
+
 void
 CycleSim::tickRts()
 {
@@ -1093,6 +1110,11 @@ CycleSim::tickRts()
         Frame &f = frames[rr.fidx];
         if (f.st == Frame::St::Free || f.epoch != rr.epoch)
             continue;
+        if (rr.waitSlot != RtRead::WAIT_NONE && rtStillWaiting(rr)) {
+            q.push_back(rr);  // retry next cycle
+            rtBusy |= static_cast<u8>(1u << bank);
+            continue;
+        }
         const auto &read = f.bm->reads[rr.readIdx];
         const u64 reg_bit = u64{1} << (read.reg & 63);
         const unsigned reg_word = read.reg >> 6;
@@ -1108,7 +1130,8 @@ CycleSim::tickRts()
         bool have = false;
         u64 value = 0;
         for (size_t oi = pos; oi-- > 0;) {
-            Frame &g = frames[frameQueue[oi]];
+            const unsigned gi = frameQueue[oi];
+            Frame &g = frames[gi];
             if (g.st == Frame::St::Fetching ||
                 g.st == Frame::St::Dispatching) {
                 wait = true;  // writes unknown until header dispatched
@@ -1122,6 +1145,9 @@ CycleSim::tickRts()
                 const auto &tok = g.writeVals[w];
                 if (tok.st == TOK_EMPTY) {
                     wait = true;
+                    rr.waitSlot = static_cast<u8>(w);
+                    rr.waitFidx = static_cast<u8>(gi);
+                    rr.waitEpoch = g.epoch;
                 } else if (tok.st == TOK_VALUE) {
                     have = true;
                     value = tok.v;

@@ -208,11 +208,18 @@ class CycleSim
         u16 inst;
     };
 
+    /** A queued header read. A read that had to wait keeps the older
+     *  frame and empty write slot it waited on, and skips the
+     *  frame-queue walk while that slot stays empty. */
     struct RtRead
     {
+        static constexpr u8 WAIT_NONE = 0xff;
         unsigned fidx;
         u32 epoch;
         u16 readIdx;
+        u8 waitSlot = WAIT_NONE;    ///< WAIT_NONE or the blocking write slot
+        u8 waitFidx = 0;
+        u32 waitEpoch = 0;
     };
 
     /** Packed to 32 bytes: wheel buckets copy these by value. */
@@ -261,6 +268,7 @@ class CycleSim
     void tickCommit();
     void pumpOutbox();
     void drainEvents();
+    bool rtStillWaiting(const RtRead &rr) const;
 
     // Helpers.
     void initCommon();

@@ -13,6 +13,7 @@
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "net/opn.hh"
+#include "net/opn_load.hh"
 #include "pred/predictors.hh"
 #include "support/memimage.hh"
 #include "support/rng.hh"
@@ -167,6 +168,42 @@ TEST(Opn, BackpressureOnFullFifo)
     EXPECT_EQ(accepted, net::OpnNetwork::FIFO_DEPTH);
 }
 
+TEST(Opn, EveryNodeEjectsInOneTick)
+{
+    // All 25 nodes eject in the same tick, and the last node still has
+    // a second occupied FIFO after its ejecting one: the claim pass
+    // must not write past the end of the ejection list (the sanitizer
+    // build catches it). Node 24's ejection arrives on its N input
+    // from 19; its local FIFO holds a flit heading W to node 23.
+    net::OpnNetwork opn;
+    auto pkt = [](unsigned src, unsigned dst) {
+        net::OpnPacket p;
+        p.src = static_cast<u8>(src);
+        p.dst = static_cast<u8>(dst);
+        p.cls = net::OpnClass::EtEt;
+        p.tag = src * 100 + dst;
+        return p;
+    };
+    ASSERT_TRUE(opn.inject(pkt(19, 24), 0));
+    opn.tick(1);
+    EXPECT_TRUE(opn.delivered().empty());
+    for (unsigned n = 0; n + 1 < net::OpnNetwork::NODES; ++n)
+        ASSERT_TRUE(opn.inject(pkt(n, n), 1));
+    ASSERT_TRUE(opn.inject(pkt(24, 23), 1));
+    opn.tick(2);
+    const auto &first = opn.delivered();
+    ASSERT_EQ(first.size(), net::OpnNetwork::NODES);
+    for (unsigned n = 0; n < net::OpnNetwork::NODES; ++n)
+        EXPECT_EQ(first[n].tag,
+                  n + 1 < net::OpnNetwork::NODES ? n * 101 : 1924u)
+            << n;
+    opn.tick(3);
+    ASSERT_EQ(opn.delivered().size(), 1u);
+    EXPECT_EQ(opn.delivered()[0].tag, 2423u);
+    EXPECT_EQ(opn.delivered()[0].hops, 1u);
+    EXPECT_TRUE(opn.empty());
+}
+
 namespace {
 
 struct Fnv
@@ -249,6 +286,48 @@ TEST(Opn, CongestionGolden)
         fnv.add(d.mean());
     }
     EXPECT_EQ(fnv.h, 0x1828a27961d47cd5ULL) << std::hex << fnv.h;
+}
+
+TEST(Opn, ModerateLoadGolden)
+{
+    // Figure-shaped traffic (net/opn_load.hh): about 1.7 inject
+    // attempts per tick in bursts of 1-3 packets from one node, all
+    // seven classes, rejects retried in order. CongestionGolden covers
+    // saturation; this pins the light-load, same-source-burst regime
+    // that figure runs actually produce: the delivered (tick, tag,
+    // hops) stream, the reject count, and every exported statistic.
+    // Captured from the ring-buffer router before the flat rewrite.
+    net::OpnNetwork opn;
+    net::OpnLoad load(0x5eed0f1a);
+    Fnv fnv;
+    u64 delivered = 0;
+    const Cycle ticks = 200'000;
+    for (Cycle t = 1; t <= ticks; ++t) {
+        load.inject(opn, t);
+        opn.tick(t);
+        for (const auto &d : opn.delivered()) {
+            fnv.add(t);
+            fnv.add(u64{d.tag});
+            fnv.add(u64{d.hops});
+            ++delivered;
+        }
+    }
+    EXPECT_EQ(delivered + 14, opn.packetsSent());   // 14 still in flight
+    EXPECT_EQ(load.attempts(), 335726u);
+    EXPECT_EQ(load.rejected(), 2512u);
+    EXPECT_EQ(opn.packetsSent(), 333214u);
+    fnv.add(load.rejected());
+    fnv.add(opn.packetsSent());
+    fnv.add(opn.avgLatency());
+    for (size_t c = 0; c < static_cast<size_t>(net::OpnClass::NUM_CLASSES);
+         ++c) {
+        const auto &d = opn.hopDist(static_cast<net::OpnClass>(c));
+        for (unsigned b = 0; b < d.numBuckets(); ++b)
+            fnv.add(d.count(b));
+        fnv.add(d.samples());
+        fnv.add(d.mean());
+    }
+    EXPECT_EQ(fnv.h, 0x6346a8a5cfebcfe1ULL) << std::hex << fnv.h;
 }
 
 // ---------------------------------------------------------------------
