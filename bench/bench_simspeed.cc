@@ -8,6 +8,8 @@
 
 #include "compiler/codegen.hh"
 #include "core/machines.hh"
+#include "harness/fuzzgen.hh"
+#include "harness/sweep.hh"
 #include "net/opn_load.hh"
 #include "obs/obs.hh"
 #include "uarch/chip_sim.hh"
@@ -199,6 +201,29 @@ static void BM_OpnRouter(benchmark::State &state) {
     benchmark::DoNotOptimize(delivered);
 }
 BENCHMARK(BM_OpnRouter)->Unit(benchmark::kMillisecond);
+
+// The compiler alone on generated programs of the fuzz flow's shape:
+// the first 64 of seed base 0xc0de, each compiled under both presets
+// per iteration. Generation happens once, outside the loop.
+static void BM_CompileFuzz(benchmark::State &state) {
+    static const std::vector<wir::Module> mods = [] {
+        std::vector<wir::Module> v;
+        for (u64 i = 0; i < 64; ++i)
+            v.push_back(harness::generate(harness::taskSeed(0xc0de, i)));
+        return v;
+    }();
+    u64 blocks = 0;
+    for (auto _ : state) {
+        for (const wir::Module &m : mods) {
+            blocks += compiler::compileToTrips(
+                          m, compiler::Options::compiled()).numBlocks();
+            blocks += compiler::compileToTrips(
+                          m, compiler::Options::hand()).numBlocks();
+        }
+    }
+    benchmark::DoNotOptimize(blocks);
+}
+BENCHMARK(BM_CompileFuzz)->Unit(benchmark::kMillisecond);
 
 static void BM_OooModel(benchmark::State &state) {
     const auto &w = workloads::find("rspeed");

@@ -57,16 +57,24 @@ class VregSet
 
     size_t size() const { return nbits; }
 
+    /** Call fn(i) for every set bit i, ascending. */
+    template <class Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (size_t w = 0; w < words.size(); ++w) {
+            for (u64 m = words[w]; m; m &= m - 1)
+                fn(static_cast<u32>(w * 64) +
+                   static_cast<u32>(__builtin_ctzll(m)));
+        }
+    }
+
     /** All set bits (ascending). */
     std::vector<u32>
     bits() const
     {
         std::vector<u32> out;
-        for (size_t w = 0; w < words.size(); ++w) {
-            for (u64 m = words[w]; m; m &= m - 1)
-                out.push_back(static_cast<u32>(w * 64) +
-                              static_cast<u32>(__builtin_ctzll(m)));
-        }
+        forEach([&](u32 i) { out.push_back(i); });
         return out;
     }
 

@@ -14,6 +14,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <type_traits>
 
 #include "compiler/analysis.hh"
 #include "compiler/transform.hh"
@@ -188,14 +189,78 @@ formRegionsOf(const Function &f, const Options &opts,
 // ---------------------------------------------------------------------
 
 /** A value source: the set of producers that deliver exactly one token
- *  on any path consistent with the owning context. */
+ *  on any path consistent with the owning context. At most two: one
+ *  node or read, or the predicated MOV pair of a join or select. */
 struct ValSource
 {
-    std::vector<i32> prods;   ///< >=0 node id; <0 read slot (-1-idx)
+    i32 prods[2] = {0, 0};    ///< >=0 node id; <0 read slot (-1-idx)
+    u8 nprods = 0;
     bool total = true;        ///< delivers on every region path
     bool isConst = false;
     i64 cval = 0;
+
+    const i32 *begin() const { return prods; }
+    const i32 *end() const { return prods + nprods; }
+
+    void
+    push(i32 p)
+    {
+        TRIPS_ASSERT(nprods < 2, "value source with three producers");
+        prods[nprods++] = p;
+    }
+
+    /** A compile-time constant not yet materialized as a node. */
+    bool foldable() const { return isConst && nprods == 0; }
+
+    bool
+    sameProds(const ValSource &o) const
+    {
+        return nprods == o.nprods &&
+               std::equal(begin(), end(), o.begin());
+    }
 };
+static_assert(std::is_trivially_copyable_v<ValSource>);
+
+/**
+ * A block's if-conversion context: the current source of every vreg
+ * the region has defined or read so far, sorted by vreg. Joins merge
+ * two contexts in ascending vreg order, which is the order their MOV
+ * pairs reach the output.
+ */
+struct CtxEntry
+{
+    Vreg v;
+    ValSource vs;
+};
+using Context = std::vector<CtxEntry>;
+
+Context::iterator
+ctxLowerBound(Context &ctx, Vreg v)
+{
+    return std::lower_bound(
+        ctx.begin(), ctx.end(), v,
+        [](const CtxEntry &e, Vreg key) { return e.v < key; });
+}
+
+/** The source of `v` in `ctx`, or nullptr. */
+ValSource *
+ctxFind(Context &ctx, Vreg v)
+{
+    auto it = ctxLowerBound(ctx, v);
+    return it != ctx.end() && it->v == v ? &it->vs : nullptr;
+}
+
+/** Define (or redefine) `v` in `ctx`. By value: an insertion moves the
+ *  entries after it, so `vs` must not point into `ctx`. */
+void
+ctxSet(Context &ctx, Vreg v, ValSource vs)
+{
+    auto it = ctxLowerBound(ctx, v);
+    if (it != ctx.end() && it->v == v)
+        it->vs = vs;
+    else
+        ctx.insert(it, CtxEntry{v, vs});
+}
 
 struct CElem
 {
@@ -374,9 +439,13 @@ class FuncCompiler
     {
         regions = formRegionsOf(f, opts, force_singleton);
         blockRegion.assign(f.blocks.size(), -1);
+        memberPos.assign(f.blocks.size(), 0);
         for (u32 ri = 0; ri < regions.size(); ++ri) {
-            for (u32 m : regions[ri].members)
-                blockRegion[m] = static_cast<i32>(ri);
+            const auto &ms = regions[ri].members;
+            for (u32 mi = 0; mi < ms.size(); ++mi) {
+                blockRegion[ms[mi]] = static_cast<i32>(ri);
+                memberPos[ms[mi]] = mi;
+            }
         }
         return static_cast<unsigned>(regions.size());
     }
@@ -426,6 +495,7 @@ class FuncCompiler
     std::optional<Liveness> live;
     std::vector<Region> regions;
     std::vector<i32> blockRegion;
+    std::vector<u32> memberPos;   ///< block -> position in its region
     Vreg vregSPV = 0, vregRETV = 0, vregSPREST = 0;
     Vreg spillBound = 0;   ///< vregs >= this are backend-invented
                            ///< (split-pass TIL values, spill reloads)
@@ -486,26 +556,46 @@ class FuncCompiler
         bool isRet = false;
     };
 
+    /** One node per i64 key, sorted by key (per-region caches). */
+    using NodePool = std::vector<std::pair<i64, i32>>;
+
+    static NodePool::iterator
+    poolLowerBound(NodePool &pool, i64 key)
+    {
+        return std::lower_bound(
+            pool.begin(), pool.end(), key,
+            [](const std::pair<i64, i32> &e, i64 k) { return e.first < k; });
+    }
+
+    /** If-conversion state of one region. Per-member state is indexed
+     *  by the member's position in `Region::members` (`memberPos`). */
     struct GenState
     {
         HBlock hb;
-        std::map<u32, std::map<Vreg, ValSource>> ctxOf;
-        std::map<u32, CChain> chains;
-        std::map<u32, i32> ctlTest;
+        std::vector<Context> ctx;   ///< per member
+        std::vector<CChain> chains; ///< per member: predicate chain
+        std::vector<i32> ctlTest;   ///< per member: branch test, or -1
         std::vector<i32> readIdx;  ///< read slot per vreg, -1 if none
-        std::map<i64, i32> constPool;
-        std::map<i64, i32> spAddrPool;  ///< wide frame-slot addresses
+        NodePool constPool;
+        NodePool spAddrPool;       ///< wide frame-slot addresses
         VregSet defined;
         std::vector<CExit> exits;
         unsigned memSeq = 0;
-        u32 curBlock = 0;
+        u32 cur = 0;   ///< position of the member being lowered
     };
+
+    /** Is `b` a member of the region being lowered, other than its
+     *  root (an edge to the root leaves the block)? */
+    bool
+    inRegion(u32 b, u32 root) const
+    {
+        return blockRegion[b] == static_cast<i32>(curRegion) && b != root;
+    }
 
     i32
     newNode(GenState &g, Opcode op)
     {
-        g.hb.nodes.push_back(TNode{});
-        g.hb.nodes.back().op = op;
+        g.hb.nodes.emplace_back().op = op;
         return static_cast<i32>(g.hb.nodes.size() - 1);
     }
 
@@ -546,8 +636,8 @@ class FuncCompiler
     i32
     constNode(GenState &g, i64 value)
     {
-        auto it = g.constPool.find(value);
-        if (it != g.constPool.end())
+        auto it = poolLowerBound(g.constPool, value);
+        if (it != g.constPool.end() && it->first == value)
             return it->second;
         // Chunk the constant into 16-bit pieces, high to low; the top
         // chunk sign-extends via GENS.
@@ -573,17 +663,19 @@ class FuncCompiler
                 node = app;
             }
         }
-        g.constPool[value] = node;
+        g.constPool.insert(it, {value, node});
         return node;
     }
 
-    /** Resolve a ValSource to concrete producers. */
-    const std::vector<i32> &
+    /** Resolve a ValSource to concrete producers. A constant is
+     *  materialized once, in place: later uses of the same source see
+     *  the node, not a foldable constant. */
+    const ValSource &
     prodsOf(GenState &g, ValSource &vs)
     {
-        if (vs.isConst && vs.prods.empty())
-            vs.prods.push_back(constNode(g, vs.cval));
-        return vs.prods;
+        if (vs.foldable())
+            vs.push(constNode(g, vs.cval));
+        return vs;
     }
 
     void
@@ -591,11 +683,10 @@ class FuncCompiler
     {
         // prodsOf may materialize constant nodes and reallocate the
         // node vector, so resolve producers before touching the list.
-        const auto &prods = prodsOf(g, vs);
+        const ValSource &prods = prodsOf(g, vs);
         auto &list = operand == 0 ? g.hb.nodes[node].in0
                                   : g.hb.nodes[node].in1;
-        for (i32 p : prods)
-            list.push_back(p);
+        list.insert(list.end(), prods.begin(), prods.end());
     }
 
     /** The register-read slot of a vreg's incoming (pre-region) value,
@@ -621,24 +712,34 @@ class FuncCompiler
     }
 
     /** Look up a vreg in the current context, creating a register read
-     *  on demand. */
+     *  on demand. The reference lasts until the next insertion into
+     *  the context: the next lookup of another vreg or definition. */
     ValSource &
     lookup(GenState &g, Vreg v)
     {
-        auto &ctx = g.ctxOf[g.curBlock];
-        auto it = ctx.find(v);
-        if (it != ctx.end())
-            return it->second;
-        return ctx.emplace(v, incomingVS(g, v)).first->second;
+        Context &ctx = g.ctx[g.cur];
+        auto it = ctxLowerBound(ctx, v);
+        if (it != ctx.end() && it->v == v)
+            return it->vs;
+        return ctx.insert(it, CtxEntry{v, incomingVS(g, v)})->vs;
     }
 
-    ValSource
-    makeNodeVS(GenState &g, i32 node, bool total)
+    /** lookup(a), then lookup(b), as two references that are both
+     *  valid (the second lookup may move the first entry). */
+    std::pair<ValSource &, ValSource &>
+    lookupPair(GenState &g, Vreg a, Vreg b)
+    {
+        lookup(g, a);
+        ValSource &vb = lookup(g, b);
+        return {*ctxFind(g.ctx[g.cur], a), vb};
+    }
+
+    static ValSource
+    makeNodeVS(i32 node, bool total)
     {
         ValSource vs;
-        vs.prods.push_back(node);
+        vs.push(node);
         vs.total = total;
-        (void)g;
         return vs;
     }
 
@@ -651,7 +752,7 @@ class FuncCompiler
     incomingVS(GenState &g, Vreg v)
     {
         ValSource vs;
-        vs.prods.push_back(-1 - static_cast<i32>(readSlot(g, v)));
+        vs.push(-1 - static_cast<i32>(readSlot(g, v)));
         return vs;
     }
 
@@ -662,18 +763,20 @@ class FuncCompiler
     {
         curRegion = ridx;
         const Region &r = regions[ridx];
+        const u32 root = r.members[0];
+        const size_t nm = r.members.size();
         GenState g;
-        g.readIdx.assign(f.nextVreg, -1);
-        g.defined = VregSet(f.nextVreg);
         g.hb.label = labelOf(ridx);
         g.hb.wirMembers = r.members;
-        const u32 root = r.members[0];
-        std::set<u32> members(r.members.begin(), r.members.end());
+        g.ctx.resize(nm);
+        g.chains.resize(nm);
+        g.ctlTest.assign(nm, -1);
+        g.readIdx.assign(f.nextVreg, -1);
+        g.defined = VregSet(f.nextVreg);
 
         // Entry preambles.
-        g.curBlock = root;
-        g.chains[root] = {};
-        g.ctxOf[root];
+        g.cur = 0;
+        Context &rootCtx = g.ctx[0];
         bool is_entry = ridx == 0;
         if (is_entry && frameSlots > 0) {
             // SPV = R1 - frame
@@ -684,7 +787,7 @@ class FuncCompiler
             i32 adj = spAdjustNode(g, sp,
                                    -static_cast<i64>(frameBytes()),
                                    false);
-            g.ctxOf[root][vregSPV] = makeNodeVS(g, adj, true);
+            ctxSet(rootCtx, vregSPV, makeNodeVS(adj, true));
             g.defined.set(vregSPV);
         }
         auto cont_it = contOfRegionRoot.find(root);
@@ -700,8 +803,8 @@ class FuncCompiler
                 g.readIdx[call.dst] = static_cast<i32>(g.hb.reads.size());
                 g.hb.reads.push_back(rr);
                 ValSource vs;
-                vs.prods.push_back(-1 - g.readIdx[call.dst]);
-                g.ctxOf[root][call.dst] = vs;
+                vs.push(-1 - g.readIdx[call.dst]);
+                ctxSet(rootCtx, call.dst, vs);
                 g.defined.set(call.dst);
             }
             for (auto &[v, slot] : spillMap[call_block]) {
@@ -712,7 +815,7 @@ class FuncCompiler
                 i32 ld = newMemNode(g, Opcode::LD);
                 g.hb.nodes[ld].imm = disp;
                 connect(g, ld, 0, base);
-                g.ctxOf[root][v] = makeNodeVS(g, ld, true);
+                ctxSet(rootCtx, v, makeNodeVS(ld, true));
                 g.defined.set(v);
             }
         }
@@ -726,13 +829,13 @@ class FuncCompiler
         }
 
         // Process members topologically.
-        for (size_t mi = 0; mi < r.members.size(); ++mi) {
+        for (u32 mi = 0; mi < nm; ++mi) {
             u32 B = r.members[mi];
-            g.curBlock = B;
+            g.cur = mi;
             if (mi > 0)
-                mergeIntoBlock(g, B, members, root);
+                mergeIntoBlock(g, r, mi);
             lowerBlockBody(g, B);
-            lowerTerminator(g, B, members, root);
+            lowerTerminator(g, B, root);
         }
 
         connectWrites(g, r);
@@ -753,10 +856,11 @@ class FuncCompiler
     i32
     spAdjustNode(GenState &g, ValSource &sp, i64 imm, bool cache)
     {
+        NodePool::iterator hit;
         if (cache) {
-            auto it = g.spAddrPool.find(imm);
-            if (it != g.spAddrPool.end())
-                return it->second;
+            hit = poolLowerBound(g.spAddrPool, imm);
+            if (hit != g.spAddrPool.end() && hit->first == imm)
+                return hit->second;
         }
         i32 n;
         if (imm >= isa::IMM9_MIN && imm <= isa::IMM9_MAX) {
@@ -770,7 +874,7 @@ class FuncCompiler
             g.hb.nodes[n].in1.push_back(cn);
         }
         if (cache)
-            g.spAddrPool[imm] = n;
+            g.spAddrPool.insert(hit, {imm, n});
         return n;
     }
 
@@ -788,103 +892,130 @@ class FuncCompiler
         if (disp <= isa::IMM9_MAX)
             return {sp, disp};
         i64 base = disp & ~i64{255};
-        return {makeNodeVS(g, spAdjustNode(g, sp, base, true), sp.total),
+        return {makeNodeVS(spAdjustNode(g, sp, base, true), sp.total),
                 disp - base};
     }
 
-    /** Compute chain and context of a non-root member from its
-     *  in-region predecessors. */
+    /**
+     * Compute chain and context of the non-root member at position
+     * `mi` from its in-region predecessors. A single predecessor hands
+     * over its context (moved) when nothing reads it afterwards: it has
+     * no exit (exits read their block's context) and this is its last
+     * in-region successor. A diamond join merges its two inputs in one
+     * pass, in ascending vreg order.
+     */
     void
-    mergeIntoBlock(GenState &g, u32 B, const std::set<u32> &members,
-                   u32 root)
+    mergeIntoBlock(GenState &g, const Region &r, u32 mi)
     {
-        (void)root;
-        std::vector<std::pair<u32, CChain>> in;  // (pred, edge chain)
-        for (u32 p : members) {
+        const u32 B = r.members[mi];
+        const u32 root = r.members[0];
+        // An in-region edge p -> B: its chain is p's chain, extended by
+        // p's branch test when p branches.
+        struct InEdge
+        {
+            u32 pos;
+            bool tested;
+            CElem elem;
+        };
+        InEdge in[2];
+        unsigned nin = 0;
+        for (u32 pi = 0; pi < r.members.size(); ++pi) {
+            const u32 p = r.members[pi];
             for (u32 s : f.successors(p)) {
                 if (s != B)
                     continue;
-                CChain c = g.chains.at(p);
+                TRIPS_ASSERT(pi < mi && nin < 2,
+                             "bad join shape in region of ", fname);
                 const auto &t = f.blocks[p].term;
-                if (t.kind == TermKind::Br && t.thenBlock != t.elseBlock)
-                    c.push_back({g.ctlTest.at(p), t.thenBlock == B});
-                in.emplace_back(p, std::move(c));
+                InEdge &e = in[nin++];
+                e.pos = pi;
+                e.tested =
+                    t.kind == TermKind::Br && t.thenBlock != t.elseBlock;
+                if (e.tested)
+                    e.elem = {g.ctlTest[pi], t.thenBlock == B};
             }
         }
-        TRIPS_ASSERT(!in.empty() && in.size() <= 2,
-                     "bad join shape in region of ", fname);
-        if (in.size() == 1) {
-            g.chains[B] = in[0].second;
-            g.ctxOf[B] = g.ctxOf.at(in[0].first);
+        TRIPS_ASSERT(nin > 0, "bad join shape in region of ", fname);
+        CChain &chain = g.chains[mi];
+        if (nin == 1) {
+            chain = g.chains[in[0].pos];
+            if (in[0].tested)
+                chain.push_back(in[0].elem);
+            bool lastUse = true;
+            for (u32 s : f.successors(r.members[in[0].pos]))
+                lastUse &= inRegion(s, root) && memberPos[s] <= mi;
+            if (lastUse)
+                g.ctx[mi] = std::move(g.ctx[in[0].pos]);
+            else
+                g.ctx[mi] = g.ctx[in[0].pos];
             return;
         }
-        // Proper diamond join: chains are complementary siblings.
-        const CChain &c1 = in[0].second;
-        CChain nc(c1.begin(), c1.end() - 1);
-        g.chains[B] = nc;
-        i32 t = c1.back().test;
-        bool pol1 = c1.back().pol;
+        // Proper diamond join: the edge chains are complementary
+        // siblings, so the join's chain is either one less its last
+        // element. The side of the lower block id comes first.
+        if (r.members[in[0].pos] > r.members[in[1].pos])
+            std::swap(in[0], in[1]);
+        const CChain &pc = g.chains[in[0].pos];
+        CElem last;
+        if (in[0].tested) {
+            chain = pc;
+            last = in[0].elem;
+        } else {
+            TRIPS_ASSERT(!pc.empty(), "bad join shape in region of ", fname);
+            chain.assign(pc.begin(), pc.end() - 1);
+            last = pc.back();
+        }
+        const bool total = chain.empty();
+        const i32 t = last.test;
+        const bool pol1 = last.pol;
 
-        auto &ctx1 = g.ctxOf.at(in[0].first);
-        auto &ctx2 = g.ctxOf.at(in[1].first);
-        std::map<Vreg, ValSource> merged;
-        std::set<Vreg> keys;
-        for (auto &[v, vs] : ctx1)
-            keys.insert(v);
-        for (auto &[v, vs] : ctx2)
-            keys.insert(v);
-        for (Vreg v : keys) {
-            auto i1 = ctx1.find(v);
-            auto i2 = ctx2.find(v);
-            if (i1 != ctx1.end() && i2 != ctx2.end() &&
-                i1->second.prods == i2->second.prods &&
-                !(i1->second.isConst && i1->second.prods.empty())) {
-                merged[v] = i1->second;
-                continue;
-            }
-            if (i1 != ctx1.end() && i2 != ctx2.end() &&
-                i1->second.isConst && i2->second.isConst &&
-                i1->second.cval == i2->second.cval) {
-                merged[v] = i1->second;
-                continue;
-            }
-            if (i1 == ctx1.end() || i2 == ctx2.end()) {
-                // Defined on one side only: on the other side the vreg
-                // keeps its incoming (register) value, so merge the def
-                // against a register read. A NULLW would be wrong here:
-                // downstream arithmetic would be poisoned by the null.
-                bool from_then = i1 != ctx1.end();
-                auto &only = from_then ? i1->second : i2->second;
-                i32 mv = newNode(g, Opcode::MOV);
-                g.hb.nodes[mv].predNode = t;
-                g.hb.nodes[mv].predPol = from_then ? pol1 : !pol1;
-                connect(g, mv, 0, only);
-                i32 mv2 = newNode(g, Opcode::MOV);
-                g.hb.nodes[mv2].predNode = t;
-                g.hb.nodes[mv2].predPol = from_then ? !pol1 : pol1;
-                ValSource inc = incomingVS(g, v);
-                connect(g, mv2, 0, inc);
-                ValSource vs;
-                vs.prods = {mv, mv2};
-                vs.total = nc.empty();
-                merged[v] = vs;
-                continue;
-            }
-            // Predicated movs merging the two sides.
+        // Predicated movs merging the two sides, `s1` on polarity `pol`
+        // first. A vreg defined on one side only keeps its incoming
+        // (register) value on the other; that side's def comes first. A
+        // NULLW would be wrong there: downstream arithmetic would be
+        // poisoned by the null.
+        auto movPair = [&](ValSource &s1, bool pol, ValSource &s2) {
             i32 m1 = newNode(g, Opcode::MOV);
             g.hb.nodes[m1].predNode = t;
-            g.hb.nodes[m1].predPol = pol1;
-            connect(g, m1, 0, i1->second);
+            g.hb.nodes[m1].predPol = pol;
+            connect(g, m1, 0, s1);
             i32 m2 = newNode(g, Opcode::MOV);
             g.hb.nodes[m2].predNode = t;
-            g.hb.nodes[m2].predPol = !pol1;
-            connect(g, m2, 0, i2->second);
+            g.hb.nodes[m2].predPol = !pol;
+            connect(g, m2, 0, s2);
             ValSource vs;
-            vs.prods = {m1, m2};
-            vs.total = nc.empty();
-            merged[v] = vs;
+            vs.push(m1);
+            vs.push(m2);
+            vs.total = total;
+            return vs;
+        };
+        Context &ctx1 = g.ctx[in[0].pos];
+        Context &ctx2 = g.ctx[in[1].pos];
+        Context &merged = g.ctx[mi];
+        merged.reserve(ctx1.size() + ctx2.size());
+        auto i1 = ctx1.begin(), i2 = ctx2.begin();
+        while (i1 != ctx1.end() || i2 != ctx2.end()) {
+            const bool has1 =
+                i2 == ctx2.end() || (i1 != ctx1.end() && i1->v <= i2->v);
+            const bool has2 =
+                i1 == ctx1.end() || (i2 != ctx2.end() && i2->v <= i1->v);
+            const Vreg v = has1 ? i1->v : i2->v;
+            ValSource vs;
+            if (!has2 || !has1) {
+                ValSource inc = incomingVS(g, v);
+                vs = has1 ? movPair(i1->vs, pol1, inc)
+                          : movPair(i2->vs, !pol1, inc);
+            } else if ((i1->vs.sameProds(i2->vs) && !i1->vs.foldable()) ||
+                       (i1->vs.isConst && i2->vs.isConst &&
+                        i1->vs.cval == i2->vs.cval)) {
+                vs = i1->vs;
+            } else {
+                vs = movPair(i1->vs, pol1, i2->vs);
+            }
+            merged.push_back(CtxEntry{v, vs});
+            i1 += has1;
+            i2 += has2;
         }
-        g.ctxOf[B] = std::move(merged);
     }
 
     bool
@@ -897,8 +1028,8 @@ class FuncCompiler
     void
     lowerBlockBody(GenState &g, u32 B)
     {
-        const CChain &chain = g.chains.at(B);
-        auto &ctx = g.ctxOf[B];
+        const CChain &chain = g.chains[g.cur];
+        Context &ctx = g.ctx[g.cur];
         for (const Instr &in : f.blocks[B].instrs)
             lowerInstr(g, B, chain, ctx, in);
     }
@@ -934,9 +1065,9 @@ class FuncCompiler
 
     void
     lowerInstr(GenState &g, u32 B, const CChain &chain,
-               std::map<Vreg, ValSource> &ctx, const Instr &in)
+               Context &ctx, const Instr &in)
     {
-        auto def = [&](ValSource vs) { ctx[in.dst] = std::move(vs);
+        auto def = [&](ValSource vs) { ctxSet(ctx, in.dst, vs);
                                        g.defined.set(in.dst); };
         // A speculated (unpredicated) op still only delivers when all
         // its inputs deliver, so totality is ANDed through the inputs:
@@ -949,7 +1080,7 @@ class FuncCompiler
             bool spec = speculable();
             if (!spec)
                 setPred(g, node, chain);
-            return makeNodeVS(g, node,
+            return makeNodeVS(node,
                               (spec || chain.empty()) && inputs_total);
         };
 
@@ -961,15 +1092,17 @@ class FuncCompiler
                 std::memcpy(&vs.cval, &in.fimm, 8);
             else
                 vs.cval = in.imm;
-            def(std::move(vs));
+            def(vs);
             return;
           }
           case WOp::Copy:
             def(lookup(g, in.srcs[0]));
             return;
           case WOp::Select: {
-            ValSource &c = lookup(g, in.srcs[0]);
-            if (c.isConst && c.prods.empty()) {
+            // A copy: the arm lookups may move the entry. Not foldable
+            // past the test below, so connecting leaves it unchanged.
+            ValSource c = lookup(g, in.srcs[0]);
+            if (c.foldable()) {
                 def(lookup(g, in.srcs[c.cval ? 1 : 2]));
                 return;
             }
@@ -978,8 +1111,7 @@ class FuncCompiler
             connect(g, t, 0, c);
             if (!speculable())
                 setPred(g, t, chain);
-            ValSource &tv = lookup(g, in.srcs[1]);
-            ValSource &fv = lookup(g, in.srcs[2]);
+            auto [tv, fv] = lookupPair(g, in.srcs[1], in.srcs[2]);
             i32 m1 = newNode(g, Opcode::MOV);
             g.hb.nodes[m1].predNode = t;
             g.hb.nodes[m1].predPol = true;
@@ -989,18 +1121,19 @@ class FuncCompiler
             g.hb.nodes[m2].predPol = false;
             connect(g, m2, 0, fv);
             ValSource vs;
-            vs.prods = {m1, m2};
+            vs.push(m1);
+            vs.push(m2);
             // The predicated movs can only fire if the test itself
             // delivers, so the condition's totality gates the result.
             vs.total = c.total && tv.total && fv.total &&
                        (speculable() || chain.empty());
-            def(std::move(vs));
+            def(vs);
             return;
           }
           case WOp::Load: {
             ValSource addr = lookup(g, in.srcs[0]);  // copy: may rewrite
             i64 disp = in.imm;
-            if (addr.isConst && addr.prods.empty()) {
+            if (addr.foldable()) {
                 addr.cval += disp;
                 disp = 0;
             }
@@ -1013,14 +1146,14 @@ class FuncCompiler
             g.hb.nodes[n].imm = disp;
             setPred(g, n, chain);
             connect(g, n, 0, addr);
-            def(makeNodeVS(g, n, chain.empty()));
+            def(makeNodeVS(n, chain.empty()));
             return;
           }
           case WOp::Store: {
             ValSource addr = lookup(g, in.srcs[0]);
             ValSource val = lookup(g, in.srcs[1]);
             i64 disp = in.imm;
-            if (addr.isConst && addr.prods.empty()) {
+            if (addr.foldable()) {
                 addr.cval += disp;
                 disp = 0;
             }
@@ -1057,9 +1190,9 @@ class FuncCompiler
                     list.push_back(nn);
             };
             gate(1, val);
-            if (addr.total && !addr.prods.empty())
+            if (addr.total && addr.nprods != 0)
                 connect(g, n, 0, addr);
-            else if (addr.isConst && addr.prods.empty())
+            else if (addr.foldable())
                 connect(g, n, 0, addr);
             else
                 gate(0, addr);
@@ -1073,11 +1206,17 @@ class FuncCompiler
         }
 
         // Remaining ops are pure value computations.
-        ValSource &a = lookup(g, in.srcs[0]);
-        ValSource *b = in.srcs.size() > 1 ? &lookup(g, in.srcs[1])
-                                          : nullptr;
-        bool a_const = a.isConst && a.prods.empty();
-        bool b_const = b && b->isConst && b->prods.empty();
+        ValSource *ap, *b = nullptr;
+        if (in.srcs.size() > 1) {
+            auto [ra, rb] = lookupPair(g, in.srcs[0], in.srcs[1]);
+            ap = &ra;
+            b = &rb;
+        } else {
+            ap = &lookup(g, in.srcs[0]);
+        }
+        ValSource &a = *ap;
+        bool a_const = a.foldable();
+        bool b_const = b && b->foldable();
 
         if (a_const && (in.srcs.size() == 1 || b_const)) {
             // Full compile-time folding when supported.
@@ -1086,7 +1225,7 @@ class FuncCompiler
                 ValSource vs;
                 vs.isConst = true;
                 vs.cval = *fv;
-                def(std::move(vs));
+                def(vs);
                 return;
             }
         }
@@ -1155,7 +1294,7 @@ class FuncCompiler
         i32 n = newNode(g, Opcode::ADD);
         connect(g, n, 0, base);
         g.hb.nodes[n].in1.push_back(cn);
-        return makeNodeVS(g, n, base.total);
+        return makeNodeVS(n, base.total);
     }
 
     static Opcode
@@ -1239,15 +1378,13 @@ class FuncCompiler
         for (size_t i = 0; i < in.srcs.size(); ++i) {
             HWrite w;
             w.fixedReg = abi::REG_ARG0 + static_cast<int>(i);
-            ValSource &vs = lookup(g, in.srcs[i]);
-            for (i32 p : prodsOf(g, vs))
-                w.prods.push_back(p);
+            const ValSource &vs = prodsOf(g, lookup(g, in.srcs[i]));
+            w.prods.assign(vs.begin(), vs.end());
             g.hb.writes.push_back(std::move(w));
         }
         // Caller-save spills.
         for (auto &[v, slot] : spillMap.at(B)) {
-            ValSource &sp = lookup(g, vregSPV);
-            ValSource &val = lookup(g, v);
+            auto [sp, val] = lookupPair(g, vregSPV, v);
             auto [base, disp] = frameSlotAddr(g, sp, slot);
             i32 st = newMemNode(g, Opcode::SD);
             g.hb.nodes[st].imm = disp;
@@ -1263,17 +1400,17 @@ class FuncCompiler
         g.hb.nodes[c].returnLabel =
             labelOf(static_cast<u32>(cont_region));
         CExit e;
-        e.chain = g.chains.at(B);
+        e.chain = g.chains[g.cur];
         e.exitBlock = B;
         g.exits.push_back(std::move(e));
     }
 
     i32
-    controlTest(GenState &g, u32 B, Vreg cond)
+    controlTest(GenState &g, Vreg cond)
     {
-        const CChain &chain = g.chains.at(B);
+        const CChain &chain = g.chains[g.cur];
         ValSource &vs = lookup(g, cond);
-        if (vs.prods.size() == 1 && vs.prods[0] >= 0 && chain.empty()) {
+        if (vs.nprods == 1 && vs.prods[0] >= 0 && chain.empty()) {
             const TNode &n = g.hb.nodes[vs.prods[0]];
             if (isTest(n.op) && n.predNode < 0)
                 return vs.prods[0];
@@ -1286,18 +1423,15 @@ class FuncCompiler
     }
 
     void
-    lowerTerminator(GenState &g, u32 B, const std::set<u32> &members,
-                    u32 root)
+    lowerTerminator(GenState &g, u32 B, u32 root)
     {
         // A call block's CALLO is its exit; the Jmp to the continuation
         // is encoded as the CALLO return label, not a branch.
         if (isCallBlock(f, B))
             return;
         const auto &t = f.blocks[B].term;
-        const CChain &chain = g.chains.at(B);
-        auto in_region = [&](u32 s) {
-            return members.count(s) && s != root;
-        };
+        const CChain &chain = g.chains[g.cur];
+        auto in_region = [&](u32 s) { return inRegion(s, root); };
         auto emit_bro = [&](u32 target, const CChain &bchain) {
             i32 n = newNode(g, Opcode::BRO);
             i32 tr = blockRegion[target];
@@ -1324,8 +1458,8 @@ class FuncCompiler
                     emit_bro(t.thenBlock, chain);
                 return;
             }
-            i32 ctl = controlTest(g, B, t.cond);
-            g.ctlTest[B] = ctl;
+            i32 ctl = controlTest(g, t.cond);
+            g.ctlTest[g.cur] = ctl;
             for (bool pol : {true, false}) {
                 u32 target = pol ? t.thenBlock : t.elseBlock;
                 if (in_region(target))
@@ -1338,7 +1472,7 @@ class FuncCompiler
           }
           case TermKind::Ret: {
             if (t.retVal != wir::NO_VREG) {
-                g.ctxOf[B][vregRETV] = lookup(g, t.retVal);
+                ctxSet(g.ctx[g.cur], vregRETV, lookup(g, t.retVal));
                 g.defined.set(vregRETV);
             }
             if (frameSlots > 0) {
@@ -1348,7 +1482,7 @@ class FuncCompiler
                 ValSource &sp = lookup(g, vregSPV);
                 i32 adj = spAdjustNode(
                     g, sp, static_cast<i64>(frameBytes()), false);
-                g.ctxOf[B][vregSPV] = makeNodeVS(g, adj, false);
+                ctxSet(g.ctx[g.cur], vregSPV, makeNodeVS(adj, false));
                 g.defined.set(vregSPV);
             }
             i32 n = newNode(g, Opcode::RET);
@@ -1390,17 +1524,17 @@ class FuncCompiler
             if (e.isRet)
                 continue;
             u32 target = exitTargetOf(g, e);
-            for (u32 v : live->liveIn[target].bits()) {
+            live->liveIn[target].forEach([&](u32 v) {
                 if (g.defined.test(v))
                     write_set.set(v);
-            }
+            });
         }
         if (g.defined.test(vregRETV))
             write_set.set(vregRETV);
         if (g.defined.test(vregSPV))
             write_set.set(vregSPV);
 
-        for (Vreg v : write_set.bits()) {
+        write_set.forEach([&](Vreg v) {
             HWrite w;
             w.v = v;
             if (v == vregRETV)
@@ -1409,7 +1543,7 @@ class FuncCompiler
                 w.fixedReg = abi::REG_SP;
             connectOneWrite(g, w);
             g.hb.writes.push_back(std::move(w));
-        }
+        });
     }
 
     /** WIR successor block of a non-ret exit (for liveness). */
@@ -1429,11 +1563,9 @@ class FuncCompiler
                 return t.thenBlock;
             // The chain's last element distinguishes then/else when the
             // branch itself created the exit.
-            bool pol = e.chain.back().pol;
-            auto it = g.ctlTest.find(e.exitBlock);
-            if (it != g.ctlTest.end() &&
-                it->second == e.chain.back().test)
-                return pol ? t.thenBlock : t.elseBlock;
+            const CElem &last = e.chain.back();
+            if (g.ctlTest[memberPos[e.exitBlock]] == last.test)
+                return last.pol ? t.thenBlock : t.elseBlock;
             return t.thenBlock;
         }
         TRIPS_PANIC("ret exit has no target in ", fname);
@@ -1442,46 +1574,39 @@ class FuncCompiler
     void
     connectOneWrite(GenState &g, HWrite &w)
     {
-        struct Leaf { const CExit *e; ValSource *vs; };
-        std::vector<Leaf> leaves;
-        for (const CExit &e : g.exits) {
-            auto &ctx = g.ctxOf[e.exitBlock];
-            auto it = ctx.find(w.v);
-            leaves.push_back({&e, it == ctx.end() ? nullptr : &it->second});
-        }
+        // The source of w.v on each exit, parallel to g.exits.
+        std::vector<ValSource *> leaves;
+        for (const CExit &e : g.exits)
+            leaves.push_back(ctxFind(g.ctx[memberPos[e.exitBlock]], w.v));
         // Shortcut: single exit, or identical total sources everywhere.
-        bool all_same = leaves[0].vs != nullptr;
-        for (const Leaf &l : leaves) {
+        const ValSource *first = leaves[0];
+        bool all_same = first != nullptr;
+        for (const ValSource *l : leaves) {
             if (!all_same)
                 break;
-            all_same &= l.vs != nullptr &&
-                        ((l.vs->prods == leaves[0].vs->prods &&
-                          !(l.vs->isConst && l.vs->prods.empty())) ||
-                         (l.vs->isConst && leaves[0].vs->isConst &&
-                          l.vs->prods.empty() &&
-                          leaves[0].vs->prods.empty() &&
-                          l.vs->cval == leaves[0].vs->cval));
+            all_same &= l != nullptr &&
+                        ((l->sameProds(*first) && !l->foldable()) ||
+                         (l->foldable() && first->foldable() &&
+                          l->cval == first->cval));
         }
-        if (leaves.size() == 1 ||
-            (all_same && leaves[0].vs->total)) {
-            if (!leaves[0].vs) {
-                // Defined only on sibling paths that exit elsewhere:
-                // this exit keeps the incoming register value.
-                ValSource inc = incomingVS(g, w.v);
-                for (i32 p : prodsOf(g, inc))
-                    w.prods.push_back(p);
-                return;
-            }
-            for (i32 p : prodsOf(g, *leaves[0].vs))
-                w.prods.push_back(p);
+        if (leaves.size() == 1 || (all_same && first->total)) {
+            // Without a source: defined only on sibling paths that exit
+            // elsewhere, so this exit keeps the incoming register value.
+            ValSource inc;
+            if (!first)
+                inc = incomingVS(g, w.v);
+            const ValSource &vs = prodsOf(g, first ? *leaves[0] : inc);
+            w.prods.insert(w.prods.end(), vs.begin(), vs.end());
             return;
         }
-        for (Leaf &l : leaves) {
-            TRIPS_ASSERT(!l.e->chain.empty(),
+        for (size_t li = 0; li < leaves.size(); ++li) {
+            const CExit &e = g.exits[li];
+            ValSource *vs = leaves[li];
+            TRIPS_ASSERT(!e.chain.empty(),
                          "multi-exit region with unpredicated exit in ",
                          fname);
-            const CElem &leaf = l.e->chain.back();
-            if (!l.vs) {
+            const CElem &leaf = e.chain.back();
+            if (!vs) {
                 // No in-region definition on this exit. If the value is
                 // live into the exit's target it is live-THROUGH (e.g.
                 // a parameter used past a join): forward the incoming
@@ -1491,8 +1616,8 @@ class FuncCompiler
                 // Only a genuinely dead exit gets the slot-satisfying
                 // NULLW.
                 bool live_through =
-                    !l.e->isRet && w.fixedReg < 0 &&
-                    (*live).liveIn[exitTargetOf(g, *l.e)].test(w.v);
+                    !e.isRet && w.fixedReg < 0 &&
+                    (*live).liveIn[exitTargetOf(g, e)].test(w.v);
                 if (live_through) {
                     i32 mv = newNode(g, Opcode::MOV);
                     g.hb.nodes[mv].predNode = leaf.test;
@@ -1510,7 +1635,7 @@ class FuncCompiler
                 i32 mv = newNode(g, Opcode::MOV);
                 g.hb.nodes[mv].predNode = leaf.test;
                 g.hb.nodes[mv].predPol = leaf.pol;
-                connect(g, mv, 0, *l.vs);
+                connect(g, mv, 0, *vs);
                 w.prods.push_back(mv);
             }
         }

@@ -328,6 +328,180 @@ TEST(CompileGolden, PinnedLiveProgramsSpill)
               0xcb0d86583f5a800bull);
 }
 
+namespace {
+
+void
+digestTil(Digest &d, const HBlock &hb)
+{
+    d.str(hb.label);
+    d.put(hb.wirMembers.size(), 4);
+    for (u32 b : hb.wirMembers)
+        d.put(b, 4);
+    d.put(hb.nodes.size(), 4);
+    for (const TNode &n : hb.nodes) {
+        d.put(static_cast<u64>(n.op), 2);
+        d.put(static_cast<u64>(n.imm));
+        d.put(static_cast<u64>(n.predNode), 4);
+        d.put(n.predPol, 1);
+        d.put(n.lsid, 2);
+        d.str(n.targetLabel);
+        d.str(n.returnLabel);
+        for (const auto *in : {&n.in0, &n.in1}) {
+            d.put(in->size(), 4);
+            for (i32 p : *in)
+                d.put(static_cast<u64>(p), 4);
+        }
+    }
+    d.put(hb.reads.size(), 4);
+    for (const HRead &r : hb.reads) {
+        d.put(r.v, 4);
+        d.put(static_cast<u64>(r.fixedReg), 4);
+    }
+    d.put(hb.writes.size(), 4);
+    for (const HWrite &w : hb.writes) {
+        d.put(w.v, 4);
+        d.put(static_cast<u64>(w.fixedReg), 4);
+        d.put(w.prods.size(), 4);
+        for (i32 p : w.prods)
+            d.put(static_cast<u64>(p), 4);
+    }
+}
+
+/** If-conversion of every function of `count` generated programs under
+ *  both presets. A function whose first pass overflows contributes the
+ *  overflow, then its oversized (final-attempt) lowering. */
+void
+digestIfConvert(Digest &d, u64 base, u64 count,
+                const harness::ShapeConfig &shape)
+{
+    for (u64 i = 0; i < count; ++i) {
+        wir::Module mod = harness::generate(harness::taskSeed(base, i), shape);
+        for (const auto &opts : {compiler::Options::compiled(),
+                                 compiler::Options::hand()}) {
+            for (const auto &[fname, fn] : mod.functions) {
+                compiler::Frontend fe(mod, fname, opts);
+                fe.normalize();
+                fe.formRegions({});
+                try {
+                    for (const HBlock &hb : fe.ifConvert())
+                        digestTil(d, hb);
+                    continue;
+                } catch (const compiler::BlockOverflow &o) {
+                    d.put(0xff, 1);
+                    for (u32 b : o.wirBlocks)
+                        d.put(b, 4);
+                    d.str(o.reason);
+                } catch (const std::exception &e) {
+                    d.put(0xfe, 1);
+                    d.str(e.what());
+                    continue;
+                }
+                fe.allowOversized(true);
+                try {
+                    for (const HBlock &hb : fe.ifConvert())
+                        digestTil(d, hb);
+                } catch (const std::exception &e) {
+                    d.put(0xfe, 1);
+                    d.str(e.what());
+                }
+            }
+        }
+    }
+}
+
+} // namespace
+
+TEST(CompileGolden, IfConvertTil)
+{
+    // The if-conversion output itself, before splitting and fanout:
+    // default shapes, grown shapes (LSID overflows), and many-function
+    // shapes whose call continuations write their contexts directly.
+    harness::ShapeConfig multi;
+    multi.helperFuncs = 3;
+    multi.topStmts = 120;
+    multi.bodyStmts = 10;
+    multi.maxDepth = 2;
+    Digest d;
+    digestIfConvert(d, COMPILE_GOLDEN_BASE, 128, harness::ShapeConfig{});
+    digestIfConvert(d, COMPILE_GOLDEN_BASE + 1, 32,
+                    harness::ShapeConfig{}.grown(2));
+    digestIfConvert(d, COMPILE_GOLDEN_BASE + 3, 16, multi);
+    EXPECT_EQ(d.h, 0x56bee90f0b639e35ull);
+}
+
+// ---------------------------------------------------------------------
+// If-conversion: join merges
+// ---------------------------------------------------------------------
+
+TEST(IfConvert, JoinMovsAscendingVreg)
+{
+    // A diamond whose arms define three vregs in descending order; the
+    // lowest (parameter 0) is defined on the then arm only. The join
+    // merges in ascending vreg order, so its MOV pairs come out as
+    // p0, mid, hi, and p0's else side reads its incoming register.
+    Module mod;
+    FunctionBuilder fb(mod, "main", 4);
+    const wir::Vreg p0 = fb.param(0), p1 = fb.param(1),
+                    p2 = fb.param(2), p3 = fb.param(3);
+    const wir::Vreg mid = fb.fresh(), hi = fb.fresh();
+    fb.br(fb.cmpLt(p3, fb.iconst(5)), "then", "else");
+    fb.label("then");
+    fb.assign(hi, p1);
+    fb.assign(mid, p2);
+    fb.assign(p0, p1);
+    fb.jmp("join");
+    fb.label("else");
+    fb.assign(hi, p2);
+    fb.assign(mid, p1);
+    fb.jmp("join");
+    fb.label("join");
+    fb.ret(fb.add(fb.add(hi, mid), p0));
+    fb.finish();
+    ASSERT_EQ(wir::verifyModule(mod), "");
+
+    compiler::Frontend fe(mod, "main", compiler::Options::compiled());
+    fe.normalize();
+    fe.formRegions({});
+    const std::vector<HBlock> hbs = fe.ifConvert();
+    ASSERT_EQ(hbs.size(), 1u);
+    const HBlock &hb = hbs[0];
+    ASSERT_EQ(hb.wirMembers.size(), 4u);
+
+    // (then-side source, else-side source) per join pair, as the
+    // vregs of the register reads the MOVs forward.
+    // A MOV that forwards anything else fails the test and yields
+    // NO_VREG, without indexing past its operand list or the reads.
+    auto readOf = [&](const TNode &n) {
+        if (n.in0.size() != 1 || n.in0[0] >= 0 ||
+            static_cast<size_t>(-1 - n.in0[0]) >= hb.reads.size()) {
+            ADD_FAILURE() << "join MOV does not forward one register read";
+            return wir::NO_VREG;
+        }
+        return hb.reads[static_cast<size_t>(-1 - n.in0[0])].v;
+    };
+    std::vector<std::pair<wir::Vreg, wir::Vreg>> pairs;
+    for (size_t i = 0; i < hb.nodes.size(); ++i) {
+        const TNode &n = hb.nodes[i];
+        if (n.op != Opcode::MOV || n.predNode < 0)
+            continue;
+        ASSERT_LT(i + 1, hb.nodes.size());
+        const TNode &m = hb.nodes[i + 1];
+        ASSERT_EQ(m.op, Opcode::MOV);
+        ASSERT_EQ(m.predNode, n.predNode);
+        ASSERT_NE(m.predPol, n.predPol);
+        const TNode &thenMov = n.predPol ? n : m;
+        const TNode &elseMov = n.predPol ? m : n;
+        pairs.emplace_back(readOf(thenMov), readOf(elseMov));
+        ++i;
+    }
+    const std::vector<std::pair<wir::Vreg, wir::Vreg>> want = {
+        {p1, p0},   // p0: then-arm def against its incoming register
+        {p2, p1},   // mid
+        {p1, p2},   // hi
+    };
+    EXPECT_EQ(pairs, want);
+}
+
 // ---------------------------------------------------------------------
 // Spill pass: no-op transparency, victim selection, forced spilling
 // ---------------------------------------------------------------------
