@@ -1006,7 +1006,7 @@ runRepro(const Args &a)
                       << " blocks, " << cs.spillWrites
                       << " spill writes, " << cs.spillReads
                       << " spill reads, " << cs.overflowRetries
-                      << " region retries\n";
+                      << " region re-formation rounds\n";
             for (unsigned p = 0; p < compiler::NUM_PASSES; ++p) {
                 const auto &pc = cs.pass[p];
                 std::cout << "  pass " << std::left << std::setw(12)

@@ -55,9 +55,18 @@ struct FormElem
 };
 using FormChain = std::vector<FormElem>;
 
+/** Region budget of one root in WIR ops and memory ops; a singleton
+ *  root is neither grown nor absorbed into another region. */
+struct RegionBudget
+{
+    unsigned ops, mems;
+    bool singleton = false;
+};
+
+/** Regions in RPO of their roots, each within its root's budget. */
 std::vector<Region>
 formRegionsOf(const Function &f, const Options &opts,
-              const std::set<u32> &force_singleton)
+              const std::vector<RegionBudget> &budgets)
 {
     const size_t nb = f.blocks.size();
     std::vector<std::vector<u32>> preds(nb);
@@ -91,8 +100,8 @@ formRegionsOf(const Function &f, const Options &opts,
         assigned[b] = static_cast<i32>(ridx);
         r.isCall = isCallBlock(f, b);
 
-        bool grow = opts.enablePredication && !r.isCall &&
-                    !force_singleton.count(b);
+        const RegionBudget &budget = budgets[b];
+        bool grow = opts.enablePredication && !r.isCall && !budget.singleton;
         std::map<u32, FormChain> chain;
         chain[b] = {};
         u64 ops = f.blocks[b].instrs.size();
@@ -119,12 +128,14 @@ formRegionsOf(const Function &f, const Options &opts,
         while (grew) {
             grew = false;
             std::set<u32> mem(r.members.begin(), r.members.end());
-            for (u32 m : r.members) {
-                for (u32 s : f.successors(m)) {
+            // By index: adding a member may reallocate r.members. A
+            // pass ends after the member whose successor it added.
+            const size_t n0 = r.members.size();
+            for (size_t i = 0; i < n0 && !grew; ++i) {
+                for (u32 s : f.successors(r.members[i])) {
                     if (s == b || mem.count(s) || assigned[s] >= 0)
                         continue;
-                    if (s == 0 || isCallBlock(f, s) ||
-                        force_singleton.count(s))
+                    if (s == 0 || isCallBlock(f, s) || budgets[s].singleton)
                         continue;
                     // All predecessors must already be inside.
                     bool all_in = true;
@@ -157,10 +168,9 @@ formRegionsOf(const Function &f, const Options &opts,
                     }
                     if (nc.size() > opts.maxPredDepth)
                         continue;
-                    if (ops + f.blocks[s].instrs.size() >
-                        opts.regionBudgetOps)
+                    if (ops + f.blocks[s].instrs.size() > budget.ops)
                         continue;
-                    if (mems + blockMemOps(f, s) > opts.regionBudgetMem)
+                    if (mems + blockMemOps(f, s) > budget.mems)
                         continue;
                     r.members.push_back(s);
                     if (count_exits() > 7) {
@@ -173,8 +183,6 @@ formRegionsOf(const Function &f, const Options &opts,
                     mems += blockMemOps(f, s);
                     grew = true;
                 }
-                if (grew)
-                    break;
             }
         }
         std::sort(r.members.begin(), r.members.end(),
@@ -286,8 +294,7 @@ class FuncCompiler
         : opts(opts), mod(mod), fname(fname), f(mod.function(fname))
     {}
 
-    Options opts;   ///< by value: overflow retries shrink budgets
-    bool oversizedOk = false;   ///< final attempt: split, don't retry
+    const Options opts;
 
     void
     normalize()
@@ -435,9 +442,11 @@ class FuncCompiler
     }
 
     unsigned
-    formRegions(const std::set<u32> &force_singleton)
+    formRegions()
     {
-        regions = formRegionsOf(f, opts, force_singleton);
+        budgets.resize(f.blocks.size(),
+                       {opts.regionBudgetOps, opts.regionBudgetMem});
+        regions = formRegionsOf(f, opts, budgets);
         blockRegion.assign(f.blocks.size(), -1);
         memberPos.assign(f.blocks.size(), 0);
         for (u32 ri = 0; ri < regions.size(); ++ri) {
@@ -480,6 +489,20 @@ class FuncCompiler
 
     Vreg freshVreg() { return f.nextVreg++; }
 
+    void
+    shrinkRegion(u32 root)
+    {
+        RegionBudget &b = budgets.at(root);
+        TRIPS_ASSERT(!b.singleton, "cannot shrink the singleton region at ",
+                     "block ", root, " of ", fname);
+        if (b.ops <= 20) {
+            b.singleton = true;
+            return;
+        }
+        b.ops = std::max(18u, b.ops * 3 / 5);
+        b.mems = std::max(8u, b.mems * 3 / 4);
+    }
+
     std::string
     labelOf(u32 region_idx) const
     {
@@ -494,6 +517,7 @@ class FuncCompiler
     Function f;
     std::optional<Liveness> live;
     std::vector<Region> regions;
+    std::vector<RegionBudget> budgets;  ///< per WIR block, as a root
     std::vector<i32> blockRegion;
     std::vector<u32> memberPos;   ///< block -> position in its region
     Vreg vregSPV = 0, vregRETV = 0, vregSPREST = 0;
@@ -603,13 +627,9 @@ class FuncCompiler
     newMemNode(GenState &g, Opcode op)
     {
         i32 n = newNode(g, op);
-        // Multi-block regions re-form with smaller budgets (the retry
-        // ladder); single-block regions — and everything on the final
-        // attempt — are left for the splitting pass, which renumbers
-        // LSIDs per chunk.
-        if (g.memSeq >= isa::MAX_LSIDS && !oversizedOk &&
-            regions[curRegion].members.size() > 1)
-            throw BlockOverflow{regions[curRegion].members, "LSIDs"};
+        // LSIDs past the block limit are allowed here: the pipeline
+        // re-forms a multi-block region that has them, and the
+        // splitting pass renumbers a single block's LSIDs per chunk.
         if (g.memSeq >= PRESPLIT_LSID_CAP)
             throw CompileError(
                 ErrCode::ResourceExhausted,
@@ -1667,9 +1687,15 @@ Frontend::normalize()
 }
 
 unsigned
-Frontend::formRegions(const std::set<u32> &forceSingleton)
+Frontend::formRegions()
 {
-    return impl->fc.formRegions(forceSingleton);
+    return impl->fc.formRegions();
+}
+
+void
+Frontend::shrinkRegion(u32 root)
+{
+    impl->fc.shrinkRegion(root);
 }
 
 std::vector<til::HBlock>
@@ -1684,22 +1710,10 @@ Frontend::regionLiveSets() const
     return impl->fc.regionLiveSets();
 }
 
-Options &
-Frontend::options()
-{
-    return impl->fc.opts;
-}
-
 Vreg
 Frontend::freshVreg()
 {
     return impl->fc.freshVreg();
-}
-
-void
-Frontend::allowOversized(bool yes)
-{
-    impl->fc.oversizedOk = yes;
 }
 
 std::vector<unsigned>

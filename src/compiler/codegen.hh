@@ -90,7 +90,7 @@ struct CompileStats
     unsigned splitBlocks = 0;    ///< extra blocks created by splitting
     u64 spillWrites = 0;         ///< cut-crossing register writes
     u64 spillReads = 0;          ///< cut-crossing register reads
-    unsigned overflowRetries = 0;  ///< region re-formation attempts
+    unsigned overflowRetries = 0;  ///< region re-formation rounds
 
     // Spill-to-memory pass activity (zero when pressure fits).
     unsigned spilledValues = 0;  ///< cross-region values sent to memory
@@ -99,7 +99,7 @@ struct CompileStats
     u64 spillStores = 0;         ///< spill store instructions inserted
     unsigned spillRounds = 0;    ///< fixed-point iterations that spilled
 
-    /** Per-pass snapshots from each function's successful attempt,
+    /** Per-pass snapshots from each function's final round,
      *  indexed by PassId and summed across functions. */
     PassCounters pass[NUM_PASSES];
 };

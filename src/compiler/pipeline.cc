@@ -2,22 +2,19 @@
  * @file
  * The TRIPS backend pass manager: drives the WIR-to-TIL front end
  * (codegen.cc), the block-splitting / fanout / register-allocation /
- * emission passes over TIL, and the overflow retry ladder. See
- * pipeline.hh for the pass order and the splitting scheme.
+ * emission passes over TIL, and the region re-formation of oversized
+ * regions. See pipeline.hh for the pass order and the overflow policy.
  */
 
 #include "compiler/pipeline.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstdio>
 #include <map>
 #include <ostream>
 #include <queue>
 
 #include "compiler/placement.hh"
 #include "compiler/spill.hh"
-#include "isa/disasm.hh"
 #include "support/error.hh"
 
 namespace trips::compiler {
@@ -701,7 +698,8 @@ splitPass(HBlock hb, const std::string &fname,
     // stable topological id order first (on-demand constants are the
     // one place lowering emits a producer after its consumer).
     if (!topoNormalize(hb))
-        throw BlockOverflow{hb.wirMembers, "cyclic TIL"};
+        throw CompileError(ErrCode::ResourceExhausted,
+                           "cyclic TIL in " + hb.label, fname);
 
     const std::string base = hb.label;
     unsigned chunkNo = 0;
@@ -741,9 +739,12 @@ splitPass(HBlock hb, const std::string &fname,
             made = true;
         }
         if (!made)
-            throw BlockOverflow{
-                rest.wirMembers,
-                "unsplittable (" + reason + " in " + fname + ")"};
+            throw CompileError(
+                ErrCode::ResourceExhausted,
+                detail::formatMsg("function ", fname, ": block ", rest.label,
+                                  " exceeds limit '", reason,
+                                  "' and cannot be split"),
+                fname);
     }
     out.push_back(std::move(rest));
     return out;
@@ -1003,11 +1004,6 @@ struct FuncOutput
     unsigned regions = 0;
 };
 
-/** The historical overflow retry ladder: 4 budget-shrink attempts, 2
- *  force-singleton attempts, then one final attempt that splits every
- *  oversized region outright. */
-constexpr int MAX_ATTEMPTS = 7;
-
 /** Fixed-point bound on spill-to-memory rounds. Every round either
  *  succeeds outright or removes its victims' register ranges (a
  *  rewritten victim is block-local, and reload vregs never cross a
@@ -1029,6 +1025,34 @@ describeVictims(const std::vector<SpillVictim> &victims)
     return out.empty() ? "(none)" : out;
 }
 
+/**
+ * Passes 1 and 2 to a fixed point: form regions, if-convert them all,
+ * and shrink the root of every multi-block region that breaks a block
+ * limit, until none does. Each failing round shrinks at least one
+ * budget and a singleton is never shrunk, so the loop ends. Leaves the
+ * last round's TIL in `hbs`; every multi-block region in it fits.
+ */
+unsigned
+formFittingRegions(Frontend &fe, std::vector<HBlock> &hbs,
+                   CompileStats &cs)
+{
+    for (;;) {
+        const unsigned nregions = fe.formRegions();
+        hbs = fe.ifConvert();
+        bool shrunk = false;
+        for (const HBlock &hb : hbs) {
+            if (hb.wirMembers.size() > 1 &&
+                !checkBlockLimits(hb).empty()) {
+                fe.shrinkRegion(hb.wirMembers.front());
+                shrunk = true;
+            }
+        }
+        if (!shrunk)
+            return nregions;
+        ++cs.overflowRetries;
+    }
+}
+
 FuncOutput
 compileFunction(const Module &mod, const std::string &fname,
                 const Options &opts, CompileStats &cs)
@@ -1036,203 +1060,138 @@ compileFunction(const Module &mod, const std::string &fname,
     Frontend fe(mod, fname, opts);
     fe.normalize();
 
-    std::set<u32> force_singleton;
     unsigned spilledSoFar = 0;
-    for (int round = 0; round < MAX_SPILL_ROUNDS; ++round) {
-        bool spilled = false;
-        for (int attempt = 0; attempt < MAX_ATTEMPTS && !spilled;
-             ++attempt) {
-            PassCounters local[NUM_PASSES];
-            CompileStats splitStats;
-            fe.allowOversized(attempt == MAX_ATTEMPTS - 1);
-            try {
-                // Pass 1 — region formation.
-                unsigned nregions = fe.formRegions(force_singleton);
-                local[static_cast<unsigned>(PassId::RegionForm)]
-                    .tilBlocks = nregions;
+    for (int round = 0;; ++round) {
+        PassCounters local[NUM_PASSES];
+        CompileStats splitStats;
 
-                // Pass 2 — if-conversion to TIL.
-                std::vector<HBlock> hbs = fe.ifConvert();
-                recordPass(local, PassId::IfConvert, hbs, 0);
-                passDebug(opts, fname, PassId::IfConvert, hbs, false);
-                auto regionLive = fe.regionLiveSets();
-                auto regionDepth = fe.regionLoopDepths();
+        // Passes 1 and 2 — region formation and if-conversion.
+        std::vector<HBlock> hbs;
+        const unsigned nregions = formFittingRegions(fe, hbs, cs);
+        local[static_cast<unsigned>(PassId::RegionForm)].tilBlocks =
+            nregions;
+        recordPass(local, PassId::IfConvert, hbs, 0);
+        passDebug(opts, fname, PassId::IfConvert, hbs, false);
+        auto regionLive = fe.regionLiveSets();
+        auto regionDepth = fe.regionLoopDepths();
 
-                // Pass 3 — block splitting. Regions the retry ladder
-                // can still shrink are sent back to region formation
-                // instead (keeps the historical ladder bit-identical);
-                // only irreducible regions — single WIR blocks, call
-                // spill and reload regions — are split, plus
-                // everything oversized on the final attempt.
-                const bool splitAll = attempt == MAX_ATTEMPTS - 1;
-                std::vector<HBlock> blocks;
-                std::vector<std::vector<Vreg>> liveSets;
-                std::vector<unsigned> blockDepth;
-                u64 preSplitNodes =
-                    local[static_cast<unsigned>(PassId::IfConvert)]
-                        .tilNodes;
-                for (u32 ri = 0; ri < hbs.size(); ++ri) {
-                    std::string reason = checkBlockLimits(hbs[ri]);
-                    if (!reason.empty() &&
-                        hbs[ri].wirMembers.size() > 1 && !splitAll)
-                        throw BlockOverflow{hbs[ri].wirMembers, reason};
-                    std::vector<HBlock> chunks;
-                    if (reason.empty()) {
-                        chunks.push_back(std::move(hbs[ri]));
-                    } else {
-                        chunks = splitPass(std::move(hbs[ri]), fname,
-                                           [&] { return fe.freshVreg(); },
-                                           &splitStats);
-                    }
-                    for (auto &c : chunks) {
-                        blocks.push_back(std::move(c));
-                        liveSets.push_back(regionLive[ri]);
-                        blockDepth.push_back(regionDepth[ri]);
-                    }
-                }
-                recordPass(local, PassId::Split, blocks, preSplitNodes);
-                passDebug(opts, fname, PassId::Split, blocks, true);
-
-                // Pass 4 — fanout.
-                u64 preFanoutNodes =
-                    local[static_cast<unsigned>(PassId::Split)].tilNodes;
-                for (HBlock &hb : blocks)
-                    fanoutPass(hb);
-                recordPass(local, PassId::Fanout, blocks, preFanoutNodes);
-                passDebug(opts, fname, PassId::Fanout, blocks, true);
-
-                // Pass 5 — spill-to-memory. Pure analysis here: the
-                // chooser reads the post-fanout blocks, and a
-                // non-empty plan sends the whole front end around for
-                // another round with the victims rewritten through
-                // frame slots. The TIL is untouched either way (no
-                // passDebug: dumps and verification would only repeat
-                // the fanout state), so when pressure fits — every
-                // pre-existing workload — this pass is bit-exact
-                // invisible.
-                u64 fanoutNodes =
-                    local[static_cast<unsigned>(PassId::Fanout)].tilNodes;
-                SpillPlan plan = chooseSpills(
-                    blocks, liveSets, blockDepth,
-                    [&fe](Vreg v) { return fe.spillableVreg(v); });
-                recordPass(local, PassId::Spill, blocks, fanoutNodes);
-                if (!plan.feasible)
-                    throw CompileError(
-                        ErrCode::ResourceExhausted,
-                        detail::formatMsg(
-                            "out of registers in ", fname, ": ",
-                            plan.detail, "; chosen-but-insufficient "
-                            "spill set: ",
-                            describeVictims(plan.victims), "; ",
-                            spilledSoFar,
-                            " value(s) spilled in earlier rounds"),
-                        fname);
-                if (!plan.victims.empty()) {
-                    if (round == MAX_SPILL_ROUNDS - 1)
-                        throw CompileError(
-                            ErrCode::ResourceExhausted,
-                            detail::formatMsg(
-                                "out of registers in ", fname,
-                                ": spill fixed point did not converge "
-                                "after ", round, " round(s): ",
-                                plan.maxLive, " live values at ",
-                                blocks[plan.pressureBlock].label,
-                                " still exceed the budget; spill set: ",
-                                describeVictims(plan.victims), "; ",
-                                spilledSoFar,
-                                " value(s) spilled in earlier rounds"),
-                            fname);
-                    std::vector<Vreg> vs;
-                    for (const SpillVictim &sv : plan.victims)
-                        vs.push_back(sv.v);
-                    Frontend::SpillRewrite rw = fe.spillToFrame(vs);
-                    cs.spilledValues += static_cast<unsigned>(vs.size());
-                    cs.spillSlots += rw.slots;
-                    cs.spillLoads += rw.loads;
-                    cs.spillStores += rw.stores;
-                    ++cs.spillRounds;
-                    spilledSoFar += static_cast<unsigned>(vs.size());
-                    spilled = true;
-                    continue;  // next round re-runs the front end
-                }
-
-                // Pass 6 — register allocation (no TIL shape change).
-                allocateRegisters(blocks, fname, liveSets);
-                recordPass(local, PassId::RegAlloc, blocks,
-                           local[static_cast<unsigned>(PassId::Spill)]
-                               .tilNodes);
-
-                // Pass 7 — emission.
-                FuncOutput outp;
-                outp.regions = nregions;
-                for (u32 hi = 0; hi < blocks.size(); ++hi) {
-                    std::vector<std::pair<u32, std::string>> fix, rfix;
-                    outp.emitted.push_back(
-                        emitBlock(blocks[hi], fname, fix, rfix));
-                    for (auto &[inst, label] : fix)
-                        outp.fixups.emplace_back(hi, inst, label, false);
-                    for (auto &[inst, label] : rfix)
-                        outp.fixups.emplace_back(hi, inst, label, true);
-                }
-                recordPass(local, PassId::Emit, blocks,
-                           local[static_cast<unsigned>(PassId::RegAlloc)]
-                               .tilNodes);
-
-                // Success: merge this attempt's counters.
-                for (unsigned p = 0; p < NUM_PASSES; ++p) {
-                    PassCounters &dst = cs.pass[p];
-                    const PassCounters &src = local[p];
-                    dst.tilBlocks += src.tilBlocks;
-                    dst.tilNodes += src.tilNodes;
-                    dst.movNodes += src.movNodes;
-                    dst.nullNodes += src.nullNodes;
-                    dst.testNodes += src.testNodes;
-                    dst.addedNodes += src.addedNodes;
-                }
-                cs.splitBlocks += splitStats.splitBlocks;
-                cs.spillWrites += splitStats.spillWrites;
-                cs.spillReads += splitStats.spillReads;
-                return outp;
-            } catch (const BlockOverflow &o) {
-                ++cs.overflowRetries;
-                if (o.wirBlocks.size() <= 1 ||
-                    attempt == MAX_ATTEMPTS - 1) {
-                    // The splitting pass is the backstop; if even it
-                    // gave up, report precisely what cannot be
-                    // compiled.
-                    std::string members;
-                    for (u32 b : o.wirBlocks)
-                        members += " " + std::to_string(b);
-                    throw CompileError(
-                        ErrCode::ResourceExhausted,
-                        detail::formatMsg("function ", fname,
-                                          ": WIR block(s)", members,
-                                          " exceed limit '", o.reason,
-                                          "' and cannot be split"),
-                        fname);
-                }
-                Options &op = fe.options();
-                if (attempt < 3 && op.regionBudgetOps > 20) {
-                    // First response: form smaller regions everywhere
-                    // rather than degrading one region to singletons.
-                    op.regionBudgetOps =
-                        std::max(18u, op.regionBudgetOps * 3 / 5);
-                    op.regionBudgetMem =
-                        std::max(8u, op.regionBudgetMem * 3 / 4);
-                } else {
-                    for (u32 b : o.wirBlocks)
-                        force_singleton.insert(b);
-                }
+        // Pass 3 — block splitting. Multi-block regions fit by now;
+        // an oversized single-block region is cut into a chain.
+        std::vector<HBlock> blocks;
+        std::vector<std::vector<Vreg>> liveSets;
+        std::vector<unsigned> blockDepth;
+        u64 preSplitNodes =
+            local[static_cast<unsigned>(PassId::IfConvert)].tilNodes;
+        for (u32 ri = 0; ri < hbs.size(); ++ri) {
+            std::vector<HBlock> chunks;
+            if (hbs[ri].wirMembers.size() > 1)
+                chunks.push_back(std::move(hbs[ri]));
+            else
+                chunks = splitPass(std::move(hbs[ri]), fname,
+                                   [&] { return fe.freshVreg(); },
+                                   &splitStats);
+            for (auto &c : chunks) {
+                blocks.push_back(std::move(c));
+                liveSets.push_back(regionLive[ri]);
+                blockDepth.push_back(regionDepth[ri]);
             }
         }
-        if (!spilled)
+        recordPass(local, PassId::Split, blocks, preSplitNodes);
+        passDebug(opts, fname, PassId::Split, blocks, true);
+
+        // Pass 4 — fanout.
+        u64 preFanoutNodes =
+            local[static_cast<unsigned>(PassId::Split)].tilNodes;
+        for (HBlock &hb : blocks)
+            fanoutPass(hb);
+        recordPass(local, PassId::Fanout, blocks, preFanoutNodes);
+        passDebug(opts, fname, PassId::Fanout, blocks, true);
+
+        // Pass 5 — spill-to-memory. Pure analysis here: the chooser
+        // reads the post-fanout blocks, and a non-empty plan sends the
+        // whole front end around for another round with the victims
+        // rewritten through frame slots. The TIL is untouched either
+        // way (no passDebug: dumps and verification would only repeat
+        // the fanout state), so when pressure fits — every
+        // pre-existing workload — this pass is bit-exact invisible.
+        u64 fanoutNodes =
+            local[static_cast<unsigned>(PassId::Fanout)].tilNodes;
+        SpillPlan plan = chooseSpills(
+            blocks, liveSets, blockDepth,
+            [&fe](Vreg v) { return fe.spillableVreg(v); });
+        recordPass(local, PassId::Spill, blocks, fanoutNodes);
+        if (!plan.feasible)
             throw CompileError(
                 ErrCode::ResourceExhausted,
-                "region splitting did not converge in " + fname, fname);
+                detail::formatMsg(
+                    "out of registers in ", fname, ": ", plan.detail,
+                    "; chosen-but-insufficient spill set: ",
+                    describeVictims(plan.victims), "; ", spilledSoFar,
+                    " value(s) spilled in earlier rounds"),
+                fname);
+        if (!plan.victims.empty()) {
+            if (round == MAX_SPILL_ROUNDS - 1)
+                throw CompileError(
+                    ErrCode::ResourceExhausted,
+                    detail::formatMsg(
+                        "out of registers in ", fname,
+                        ": spill fixed point did not converge after ",
+                        round, " round(s): ", plan.maxLive,
+                        " live values at ",
+                        blocks[plan.pressureBlock].label,
+                        " still exceed the budget; spill set: ",
+                        describeVictims(plan.victims), "; ",
+                        spilledSoFar,
+                        " value(s) spilled in earlier rounds"),
+                    fname);
+            std::vector<Vreg> vs;
+            for (const SpillVictim &sv : plan.victims)
+                vs.push_back(sv.v);
+            Frontend::SpillRewrite rw = fe.spillToFrame(vs);
+            cs.spilledValues += static_cast<unsigned>(vs.size());
+            cs.spillSlots += rw.slots;
+            cs.spillLoads += rw.loads;
+            cs.spillStores += rw.stores;
+            ++cs.spillRounds;
+            spilledSoFar += static_cast<unsigned>(vs.size());
+            continue;  // next round re-runs the front end
+        }
+
+        // Pass 6 — register allocation (no TIL shape change).
+        allocateRegisters(blocks, fname, liveSets);
+        recordPass(local, PassId::RegAlloc, blocks,
+                   local[static_cast<unsigned>(PassId::Spill)].tilNodes);
+
+        // Pass 7 — emission.
+        FuncOutput outp;
+        outp.regions = nregions;
+        for (u32 hi = 0; hi < blocks.size(); ++hi) {
+            std::vector<std::pair<u32, std::string>> fix, rfix;
+            outp.emitted.push_back(emitBlock(blocks[hi], fname, fix, rfix));
+            for (auto &[inst, label] : fix)
+                outp.fixups.emplace_back(hi, inst, label, false);
+            for (auto &[inst, label] : rfix)
+                outp.fixups.emplace_back(hi, inst, label, true);
+        }
+        recordPass(local, PassId::Emit, blocks,
+                   local[static_cast<unsigned>(PassId::RegAlloc)].tilNodes);
+
+        // Success: merge this round's counters.
+        for (unsigned p = 0; p < NUM_PASSES; ++p) {
+            PassCounters &dst = cs.pass[p];
+            const PassCounters &src = local[p];
+            dst.tilBlocks += src.tilBlocks;
+            dst.tilNodes += src.tilNodes;
+            dst.movNodes += src.movNodes;
+            dst.nullNodes += src.nullNodes;
+            dst.testNodes += src.testNodes;
+            dst.addedNodes += src.addedNodes;
+        }
+        cs.splitBlocks += splitStats.splitBlocks;
+        cs.spillWrites += splitStats.spillWrites;
+        cs.spillReads += splitStats.spillReads;
+        return outp;
     }
-    throw CompileError(
-        ErrCode::ResourceExhausted,
-        "spill fixed point did not converge in " + fname, fname);
 }
 
 } // namespace
@@ -1301,15 +1260,9 @@ compileToTrips(const Module &mod, const Options &opts,
     placeProgram(prog);
 
     auto ferr = prog.finalize();
-    if (!ferr.empty()) {
-        if (std::getenv("TRIPSIM_DUMP_ON_ERROR")) {
-            for (u32 b = 0; b < prog.numBlocks(); ++b)
-                std::fputs(isa::disasmBlock(prog.block(b)).c_str(),
-                           stderr);
-        }
+    if (!ferr.empty())
         throw CompileError(ErrCode::Internal,
                            "compiled program failed validation: " + ferr);
-    }
     return prog;
 }
 

@@ -24,13 +24,14 @@
  *   6. RegAlloc   — linear scan over region-crossing values;
  *   7. Emit       — TIL to isa::Block encoding.
  *
- * Overflow policy: a region whose TIL graph exceeds a block limit
- * first triggers re-formation with smaller budgets, then singleton
- * regions (the historical retry ladder, kept bit-identical for every
- * program the ladder already handled); only graphs the ladder cannot
- * shrink — single WIR blocks, call spill/reload regions — reach the
- * splitting pass. Programs that compiled before the splitting pass
- * existed therefore compile to identical bits.
+ * Overflow policy: passes 1 and 2 run to a fixed point. Every region
+ * is if-converted, oversized ones included, and each multi-block
+ * region whose graph breaks a block limit shrinks its root's budget
+ * (`Frontend::shrinkRegion`) before regions are formed again. Each
+ * shrink takes that root's own budget one step down; past the last
+ * step the root becomes a singleton. Other regions keep their
+ * budgets. Only single-block regions reach the splitting pass
+ * oversized.
  *
  * Debug modes (compiler/options.hh): `verifyTil` re-verifies every
  * TIL block between passes (til::verify) and fatals on the first
@@ -43,7 +44,6 @@
 
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -53,21 +53,10 @@
 namespace trips::compiler {
 
 /**
- * Thrown when a region's TIL graph exceeds a prototype block limit;
- * the pipeline driver retries with smaller region budgets, then with
- * the offending WIR blocks as singleton regions, then splits.
- */
-struct BlockOverflow
-{
-    std::vector<u32> wirBlocks;  ///< members of the offending region
-    std::string reason;
-};
-
-/**
  * WIR-to-TIL front end: normalization, region formation and
  * if-conversion for one function. Implemented in codegen.cc; driven
- * by the pipeline so each stage is observable and the overflow retry
- * ladder can re-run region formation with shrunk budgets.
+ * by the pipeline so each stage is observable and an oversized region
+ * can be formed again with a smaller budget.
  */
 class Frontend
 {
@@ -80,27 +69,25 @@ class Frontend
      *  isolation, liveness, caller-save spill planning. Run once. */
     void normalize();
 
-    /** Pass 1b: hyperblock region formation. Re-runnable; budgets may
-     *  have been shrunk by the retry ladder. Returns region count. */
-    unsigned formRegions(const std::set<u32> &forceSingleton);
+    /** Pass 1b: hyperblock region formation. Re-runnable: each root
+     *  gets its own budget (see shrinkRegion). Returns region count. */
+    unsigned formRegions();
 
-    /** Pass 2: lower every region to TIL. Throws BlockOverflow when a
-     *  multi-block region exceeds the LSID budget (single-block
-     *  regions are left for the splitting pass). */
+    /** Shrink the budget of the non-singleton region rooted at WIR
+     *  block `root` one step (WIR ops x3/5, floor 18; memory ops x3/4,
+     *  floor 8), or make the root a singleton once its ops budget is 20
+     *  or less. Budgets persist across spill rounds. */
+    void shrinkRegion(u32 root);
+
+    /** Pass 2: lower every region to TIL. Regions past the block
+     *  limits are lowered too; checkBlockLimits tells them apart. */
     std::vector<til::HBlock> ifConvert();
 
     /** WIR liveness projected onto regions (register allocation input). */
     std::vector<std::vector<wir::Vreg>> regionLiveSets() const;
 
-    /** Budgets are shrunk in place by the pipeline's overflow retries. */
-    Options &options();
-
     /** Fresh vreg id (split-pass spill values). */
     wir::Vreg freshVreg();
-
-    /** Final-attempt mode: lower oversized regions instead of throwing
-     *  BlockOverflow; everything lands in the splitting pass. */
-    void allowOversized(bool yes);
 
     /** Natural-loop depth per region (parallel to formRegions output;
      *  a region's depth is the max over its member WIR blocks). */
@@ -152,8 +139,7 @@ std::string checkBlockLimits(const til::HBlock &hb);
  * predicates from the spilled test values. Cuts are only taken where
  * every crossing producer set is total (delivers exactly one VALUE
  * token on every path), so the spill writes always complete; throws
- * BlockOverflow when no such cut exists (the driver then retries
- * with singleton regions, which are total by construction).
+ * a resource-exhausted CompileError when no such cut exists.
  *
  * Returns the chunks in execution order; the first keeps `hb.label`,
  * later ones get `.s1`, `.s2`, ... suffixes and are chained by

@@ -46,8 +46,12 @@ namespace trips::sim {
  *  results are pinned by golden digests (tests/test_predecode.cc);
  *  entries recorded by an older engine must not outlive the check
  *  that says so. Later engine changes that keep those digests
- *  byte-identical keep the version. */
-constexpr const char *SIM_VERSION = "tripsim-sim-3";
+ *  byte-identical keep the version.
+ *  sim-4: an oversized region now shrinks only its own budget, so
+ *  some programs compile to different blocks (and run different
+ *  cycle counts) from the same module and Options; entries recorded
+ *  under sim-3 describe the old code and must not be served. */
+constexpr const char *SIM_VERSION = "tripsim-sim-4";
 
 /** Byte-format version of the cached TripsRun record. */
 constexpr u32 CAMPAIGN_FORMAT = 2;

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "compiler/pipeline.hh"
@@ -204,7 +206,8 @@ TEST(PassStats, AllPresetsCompileUnderTilVerification)
 // backend decides — disassembly, each block's ET placement and
 // address, and every CompileStats field — for the registry workloads
 // and slices of generated programs, including grown shapes (block
-// splitting, retry ladder) and pinned-live shapes (spill-to-memory).
+// splitting, region re-formation) and pinned-live shapes
+// (spill-to-memory).
 // A program that fails to compile contributes its error text. Any
 // change to compiled code, placement or pass accounting moves it.
 // ---------------------------------------------------------------------
@@ -299,23 +302,23 @@ TEST(CompileGolden, RegistryWorkloads)
         digestCompile(d, mod, compiler::Options::compiled());
         digestCompile(d, mod, compiler::Options::hand());
     }
-    EXPECT_EQ(d.h, 0x902b2b2737c656baull);
+    EXPECT_EQ(d.h, 0xc836cc80f42d2167ull);
 }
 
 TEST(CompileGolden, GeneratedPrograms)
 {
     EXPECT_EQ(fuzzCompileDigest(COMPILE_GOLDEN_BASE, 512,
                                 harness::ShapeConfig{}),
-              0x52984c5fe876293bull);
+              0xd9760fee53e4f6b5ull);
 }
 
 TEST(CompileGolden, GrownProgramsSplitAndRetry)
 {
-    // --grow 2: graphs past the block limits, so the retry ladder and
-    // the splitting pass both run.
+    // --grow 2: graphs past the block limits, so region re-formation
+    // and the splitting pass both run.
     EXPECT_EQ(fuzzCompileDigest(COMPILE_GOLDEN_BASE + 1, 32,
                                 harness::ShapeConfig{}.grown(2)),
-              0x67381e257acfbc7cull);
+              0x84e958ef58638256ull);
 }
 
 TEST(CompileGolden, PinnedLiveProgramsSpill)
@@ -325,7 +328,7 @@ TEST(CompileGolden, PinnedLiveProgramsSpill)
     harness::ShapeConfig shape;
     shape.liveValues = 140;
     EXPECT_EQ(fuzzCompileDigest(COMPILE_GOLDEN_BASE + 2, 16, shape),
-              0xcb0d86583f5a800bull);
+              0x435ccaabac6faa43ull);
 }
 
 namespace {
@@ -368,8 +371,8 @@ digestTil(Digest &d, const HBlock &hb)
 }
 
 /** If-conversion of every function of `count` generated programs under
- *  both presets. A function whose first pass overflows contributes the
- *  overflow, then its oversized (final-attempt) lowering. */
+ *  both presets, with the regions of a first formation (oversized ones
+ *  included). */
 void
 digestIfConvert(Digest &d, u64 base, u64 count,
                 const harness::ShapeConfig &shape)
@@ -381,22 +384,7 @@ digestIfConvert(Digest &d, u64 base, u64 count,
             for (const auto &[fname, fn] : mod.functions) {
                 compiler::Frontend fe(mod, fname, opts);
                 fe.normalize();
-                fe.formRegions({});
-                try {
-                    for (const HBlock &hb : fe.ifConvert())
-                        digestTil(d, hb);
-                    continue;
-                } catch (const compiler::BlockOverflow &o) {
-                    d.put(0xff, 1);
-                    for (u32 b : o.wirBlocks)
-                        d.put(b, 4);
-                    d.str(o.reason);
-                } catch (const std::exception &e) {
-                    d.put(0xfe, 1);
-                    d.str(e.what());
-                    continue;
-                }
-                fe.allowOversized(true);
+                fe.formRegions();
                 try {
                     for (const HBlock &hb : fe.ifConvert())
                         digestTil(d, hb);
@@ -426,7 +414,7 @@ TEST(CompileGolden, IfConvertTil)
     digestIfConvert(d, COMPILE_GOLDEN_BASE + 1, 32,
                     harness::ShapeConfig{}.grown(2));
     digestIfConvert(d, COMPILE_GOLDEN_BASE + 3, 16, multi);
-    EXPECT_EQ(d.h, 0x56bee90f0b639e35ull);
+    EXPECT_EQ(d.h, 0xbb3290c77279ba68ull);
 }
 
 // ---------------------------------------------------------------------
@@ -461,7 +449,7 @@ TEST(IfConvert, JoinMovsAscendingVreg)
 
     compiler::Frontend fe(mod, "main", compiler::Options::compiled());
     fe.normalize();
-    fe.formRegions({});
+    fe.formRegions();
     const std::vector<HBlock> hbs = fe.ifConvert();
     ASSERT_EQ(hbs.size(), 1u);
     const HBlock &hb = hbs[0];
@@ -500,6 +488,136 @@ TEST(IfConvert, JoinMovsAscendingVreg)
         {p1, p2},   // hi
     };
     EXPECT_EQ(pairs, want);
+}
+
+// ---------------------------------------------------------------------
+// Region formation: an oversized region re-forms alone
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** WIR members (sorted) of each block in the last "TIL after
+ *  if-convert" dump of `fname`, keyed by the region's root block. */
+std::map<u32, std::vector<u32>>
+finalRegions(const std::string &dump, const std::string &fname)
+{
+    const std::string head = "=== TIL after if-convert (" + fname + ")";
+    const size_t at = dump.rfind(head);
+    std::map<u32, std::vector<u32>> regions;
+    if (at == std::string::npos)
+        return regions;
+    std::istringstream in(dump.substr(at));
+    std::string line;
+    std::getline(in, line);  // the header itself
+    while (std::getline(in, line) && line.rfind("===", 0) != 0) {
+        const size_t wir = line.find("(wir");
+        if (line.rfind("til block ", 0) != 0 || wir == std::string::npos)
+            continue;
+        std::istringstream ms(line.substr(wir + 4));
+        std::vector<u32> members;
+        for (u32 b; ms >> b;)
+            members.push_back(b);
+        if (members.empty())
+            continue;
+        const u32 root = members.front();
+        std::sort(members.begin(), members.end());
+        regions[root] = members;
+    }
+    return regions;
+}
+
+} // namespace
+
+TEST(RegionFormation, OverflowShrinksOnlyTheOffendingRegion)
+{
+    // Two diamonds, each a region of four WIR blocks on a first
+    // formation. Diamond A holds cheap adds whose constants fold into
+    // immediates, so it fits the block. Diamond B's arms chain selects
+    // of 64-bit constants, each a GENS/APP chain: the region breaks
+    // the 128-instruction limit. Only B may be re-formed smaller; a
+    // global budget shrink would also take A apart, since A holds more
+    // WIR ops than one shrink step leaves.
+    Module mod;
+    FunctionBuilder fb(mod, "main", 2);
+    const wir::Vreg p0 = fb.param(0), p1 = fb.param(1);
+    const wir::Vreg x = fb.fresh(), y = fb.fresh();
+    auto addChain = [&](unsigned n) {
+        for (unsigned i = 0; i < n; ++i)
+            fb.assign(x, fb.addi(x, 3 + i));
+    };
+    fb.assign(x, p0);
+    addChain(5);
+    fb.br(fb.cmpLt(p1, fb.iconst(5)), "a_then", "a_else");
+    fb.label("a_then");
+    addChain(5);
+    fb.jmp("a_join");
+    fb.label("a_else");
+    addChain(5);
+    fb.jmp("a_join");
+    fb.label("a_join");
+    addChain(1);
+    fb.jmp("b_root");
+
+    fb.label("b_root");
+    const wir::Vreg c = fb.cmpLt(p0, fb.iconst(7));
+    fb.br(fb.cmpLt(p1, fb.iconst(9)), "b_then", "b_else");
+    auto selectChain = [&](wir::Vreg v, i64 salt) {
+        for (i64 i = 0; i < 10; ++i)
+            v = fb.select(c, v,
+                          fb.iconst(0x0123456789abcdefll + salt * 4096 + i));
+        fb.assign(y, v);
+    };
+    fb.label("b_then");
+    selectChain(p1, 1);
+    fb.jmp("b_join");
+    fb.label("b_else");
+    selectChain(p0, 2);
+    fb.jmp("b_join");
+    fb.label("b_join");
+    fb.ret(fb.add(x, y));
+    const wir::Function &f = fb.finish();
+    ASSERT_EQ(wir::verifyModule(mod), "");
+
+    auto blockOf = [&](const char *name) {
+        for (u32 b = 0; b < f.blocks.size(); ++b) {
+            if (f.blocks[b].name == name)
+                return b;
+        }
+        ADD_FAILURE() << "no block " << name;
+        return 0u;
+    };
+    std::vector<u32> diamondA = {0, blockOf("a_then"), blockOf("a_else"),
+                                 blockOf("a_join")};
+    std::sort(diamondA.begin(), diamondA.end());
+    const std::vector<u32> diamondB = {blockOf("b_root"),
+                                       blockOf("b_then"),
+                                       blockOf("b_else"),
+                                       blockOf("b_join")};
+    auto opsOf = [&](const std::vector<u32> &blocks) {
+        size_t ops = 0;
+        for (u32 b : blocks)
+            ops += f.blocks[b].instrs.size();
+        return ops;
+    };
+    const compiler::Options opts = compiler::Options::compiled();
+    ASSERT_LE(opsOf(diamondA), opts.regionBudgetOps);
+    ASSERT_LE(opsOf(diamondB), opts.regionBudgetOps);
+    ASSERT_GT(opsOf(diamondA), opts.regionBudgetOps * 3 / 5);
+
+    std::ostringstream dump;
+    compiler::Options dumping = opts;
+    dumping.tilDump = &dump;
+    compiler::CompileStats cs;
+    compiler::compileToTrips(mod, dumping, &cs);
+    EXPECT_GE(cs.overflowRetries, 1u);
+
+    const auto regions = finalRegions(dump.str(), "main");
+    ASSERT_TRUE(regions.count(0));
+    EXPECT_EQ(regions.at(0), diamondA);
+    ASSERT_TRUE(regions.count(diamondB[0]));
+    const std::vector<u32> &b = regions.at(diamondB[0]);
+    EXPECT_GT(b.size(), 1u);
+    EXPECT_LT(b.size(), diamondB.size());
 }
 
 // ---------------------------------------------------------------------
@@ -844,8 +962,7 @@ TEST(BlockLimits, AnalyticCountMatchesTrialFanoutOnGeneratedTil)
                 for (const auto &[fname, fn] : mod.functions) {
                     compiler::Frontend fe(mod, fname, opts);
                     fe.normalize();
-                    fe.allowOversized(true);
-                    fe.formRegions({});
+                    fe.formRegions();
                     for (const HBlock &hb : fe.ifConvert()) {
                         SCOPED_TRACE(hb.label);
                         ++blocks;

@@ -162,7 +162,7 @@ const IdealPin kIdealPins[] = {
     {"routelookup", 159344, {57482, 34596, 4181}},
     {"conven", 344072, {65556, 32786, 32786}},
     {"fbital", 133134, {17357, 17342, 17342}},
-    {"fft", 101391, {33863, 13051, 1739}},
+    {"fft", 118510, {29710, 11483, 4150}},
     {"crafty", 274473, {65559, 30739, 8231}},
     {"twolf", 487669, {163549, 69587, 57370}},
     {"vortex", 366271, {229382, 49162, 28673}},

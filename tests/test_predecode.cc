@@ -2,7 +2,9 @@
  * @file
  * Golden-digest suite for the functional engine (src/trips/func_sim.*,
  * src/trips/predecode.*). The digests below were captured from the
- * token-scatter interpreter the pre-decoded engine replaced: per
+ * token-scatter interpreter the pre-decoded engine replaced, except
+ * the rows and fuzz-slice digests of programs whose compiled code later
+ * changed, which the pre-decoded engine recorded: per
  * workload and compiler preset, the retVal, committed blocks, the
  * serialized ISA stats, the final data segment, and the observer
  * record stream (each record's fired set sorted by slot, since the
@@ -179,7 +181,7 @@ const Golden kGolden[] = {
     {"rspeed", false, 3096, 4097, 0x72f559d7540f1965ull, 0xeadeb65d989fe877ull, 0xc235a75b9a010268ull},
     {"rspeed", true, 3096, 8173, 0xfa49b01700382d04ull, 0xeadeb65d989fe877ull, 0xea20b33379578ef7ull},
     {"ospf", false, 1200, 2476, 0x07653718c17e1e61ull, 0x1f558d8c1e64b331ull, 0x7e4de584bea1345cull},
-    {"ospf", true, 1200, 3248, 0x74a43e539fe721c8ull, 0x1f558d8c1e64b331ull, 0x2e3b129b43432f79ull},
+    {"ospf", true, 1200, 2480, 0x135a3506a0f14669ull, 0x1f558d8c1e64b331ull, 0xaae9344ab64292d5ull},
     {"routelookup", false, 453519, 6903, 0xbbdca7f0da403f84ull, 0x2c13d74e8e6b7323ull, 0xbb661c5326deee02ull},
     {"routelookup", true, 453519, 6889, 0xbfa9c05ec79b1f15ull, 0x2c13d74e8e6b7323ull, 0xd2b04666e389df4cull},
     {"autocor", false, -13996716, 16417, 0x697cfb48b933b5c7ull, 0x2e7df362699e7cb1ull, 0x127cae23efc4293eull},
@@ -187,9 +189,9 @@ const Golden kGolden[] = {
     {"conven", false, -7283794184174951865, 8193, 0x4712a4d12527e006ull, 0x30d5291e5ac7772eull, 0x93dabd573e47f571ull},
     {"conven", true, -7283794184174951865, 8193, 0x4712a4d12527e006ull, 0x30d5291e5ac7772eull, 0x93dabd573e47f571ull},
     {"fbital", false, 1400, 1865, 0xa7ebb6ac5787b8a2ull, 0x232f44d83b2ee190ull, 0xeceaefd7fb59ed3full},
-    {"fbital", true, 1400, 2600, 0x7d8555c5c3224791ull, 0x232f44d83b2ee190ull, 0xc53fc20f486cf68aull},
-    {"fft", false, -1419, 4232, 0xcf39aeff42ba211dull, 0x47234b48aaea124aull, 0x0b02f7b432caeddcull},
-    {"fft", true, -1419, 4735, 0x3f5c584a5149cd8dull, 0x47234b48aaea124aull, 0x97c8128b082abd8aull},
+    {"fbital", true, 1400, 2599, 0x03a5813a1b201393ull, 0x232f44d83b2ee190ull, 0xab3b2682c786f4d4ull},
+    {"fft", false, -1419, 3712, 0x5898ed100da81807ull, 0x47234b48aaea124aull, 0xd6f9ce5987d25767ull},
+    {"fft", true, -1419, 2688, 0xe9f17c8f2ea28bd0ull, 0x47234b48aaea124aull, 0xce00f24a5ae70c66ull},
     {"bitmnp", false, 124097, 16385, 0xd32268e90678b8f6ull, 0xf0eee1c46062dd7bull, 0xa34300de093e3068ull},
     {"idctrn", false, -44, 25153, 0x01c495f3fcc520b8ull, 0x2877851c6ffd90cbull, 0x56152fc5036c293cull},
     {"bzip2", false, 13208, 81980, 0xf8a2ed8587af4d13ull, 0xf547ad5e570ea36dull, 0xb3b6611375c7f02dull},
@@ -218,7 +220,7 @@ const Golden kGolden[] = {
     {"gemv_tiled", false, -929, 589, 0xe58bed64365268cfull, 0x437239a750762ecaull, 0x7e23e558b8fcc18dull},
     {"matmul", false, 266, 8089, 0x8ecceeac453e49dfull, 0xc21686c3992ad9e1ull, 0x707afc7cf7482697ull},
     {"matmul_tiled", false, 266, 2672, 0xb3a1df9316c3ea0cull, 0xc21686c3992ad9e1ull, 0x5170bb95f601b443ull},
-    {"matmul_tiled_unroll", false, 266, 2477, 0x1b0258fb1f9f2a7eull, 0xc21686c3992ad9e1ull, 0x57400dcd03c617a2ull},
+    {"matmul_tiled_unroll", false, 266, 1696, 0x977e116fe178656aull, 0xc21686c3992ad9e1ull, 0x8fabaae759b319bfull},
 };
 
 TEST(FuncGolden, AllWorkloadsBothPresets)
@@ -272,8 +274,8 @@ TEST(FuncGolden, FuzzSliceDigest)
         arch.put(o.mem, 8);
         obs.put(o.obs, 8);
     }
-    EXPECT_EQ(arch.h, 0xcc72160999bb04ebull) << "architectural outcomes";
-    EXPECT_EQ(obs.h, 0xd7c39bde187fc640ull) << "observer streams";
+    EXPECT_EQ(arch.h, 0x826a8664c8416c91ull) << "architectural outcomes";
+    EXPECT_EQ(obs.h, 0x7034960bf24e5deeull) << "observer streams";
 }
 
 // ---------------------------------------------------------------------
