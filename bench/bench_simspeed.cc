@@ -12,6 +12,8 @@
 #include "harness/sweep.hh"
 #include "net/opn_load.hh"
 #include "obs/obs.hh"
+#include "risc/wirtorisc.hh"
+#include "trips/predecode.hh"
 #include "uarch/chip_sim.hh"
 #include "wir/interp.hh"
 using namespace trips;
@@ -202,16 +204,24 @@ static void BM_OpnRouter(benchmark::State &state) {
 }
 BENCHMARK(BM_OpnRouter)->Unit(benchmark::kMillisecond);
 
-// The compiler alone on generated programs of the fuzz flow's shape:
-// the first 64 of seed base 0xc0de, each compiled under both presets
-// per iteration. Generation happens once, outside the loop.
-static void BM_CompileFuzz(benchmark::State &state) {
+// Generated programs of the fuzz flow's shape: the first 64 of seed
+// base 0xc0de, generated once, outside any timed loop.
+static const std::vector<wir::Module> &
+fuzzModules()
+{
     static const std::vector<wir::Module> mods = [] {
         std::vector<wir::Module> v;
         for (u64 i = 0; i < 64; ++i)
             v.push_back(harness::generate(harness::taskSeed(0xc0de, i)));
         return v;
     }();
+    return mods;
+}
+
+// The compiler alone on the fuzz programs, each compiled under both
+// presets per iteration.
+static void BM_CompileFuzz(benchmark::State &state) {
+    const std::vector<wir::Module> &mods = fuzzModules();
     u64 blocks = 0;
     for (auto _ : state) {
         for (const wir::Module &m : mods) {
@@ -224,6 +234,45 @@ static void BM_CompileFuzz(benchmark::State &state) {
     benchmark::DoNotOptimize(blocks);
 }
 BENCHMARK(BM_CompileFuzz)->Unit(benchmark::kMillisecond);
+
+// FuncSim's block decoder alone: every block of the fuzz programs'
+// compiled-preset code decoded once per iteration (compiles happen
+// once, outside the loop).
+static void BM_DecodeFuzz(benchmark::State &state) {
+    static const std::vector<isa::Program> progs = [] {
+        std::vector<isa::Program> v;
+        for (const wir::Module &m : fuzzModules())
+            v.push_back(
+                compiler::compileToTrips(m, compiler::Options::compiled()));
+        return v;
+    }();
+    u64 insts = 0;
+    for (auto _ : state) {
+        for (const isa::Program &p : progs) {
+            for (u32 b = 0; b < p.numBlocks(); ++b)
+                insts += sim::decodeBlock(p.block(b)).n;
+        }
+    }
+    benchmark::DoNotOptimize(insts);
+}
+BENCHMARK(BM_DecodeFuzz)->Unit(benchmark::kMillisecond);
+
+// The RISC baseline compiler alone on the fuzz programs, under the gcc
+// and icc presets per iteration.
+static void BM_CompileRiscFuzz(benchmark::State &state) {
+    const std::vector<wir::Module> &mods = fuzzModules();
+    u64 insts = 0;
+    for (auto _ : state) {
+        for (const wir::Module &m : mods) {
+            insts += risc::compileToRisc(m, risc::RiscOptions::gcc())
+                         .code.size();
+            insts += risc::compileToRisc(m, risc::RiscOptions::icc())
+                         .code.size();
+        }
+    }
+    benchmark::DoNotOptimize(insts);
+}
+BENCHMARK(BM_CompileRiscFuzz)->Unit(benchmark::kMillisecond);
 
 static void BM_OooModel(benchmark::State &state) {
     const auto &w = workloads::find("rspeed");

@@ -1,7 +1,6 @@
 #include "compiler/analysis.hh"
 
 #include <algorithm>
-#include <functional>
 
 namespace trips::compiler {
 
@@ -71,17 +70,31 @@ blockMemOps(const Function &f, u32 b)
 std::vector<u32>
 reversePostOrder(const Function &f)
 {
-    std::vector<u8> visited(f.blocks.size(), 0);
+    // Depth-first from the entry with an explicit stack of (block, next
+    // successor): the post-order of the recursive walk that visits
+    // successors in order.
+    const size_t nb = f.blocks.size();
+    std::vector<u8> visited(nb, 0);
     std::vector<u32> post;
-    std::function<void(u32)> dfs = [&](u32 b) {
-        visited[b] = 1;
-        for (u32 s : f.successors(b)) {
-            if (!visited[s])
-                dfs(s);
+    post.reserve(nb);
+    std::vector<std::pair<u32, u32>> stack;
+    stack.reserve(nb);
+    visited[0] = 1;
+    stack.emplace_back(0, 0);
+    while (!stack.empty()) {
+        const u32 b = stack.back().first;
+        const auto succ = f.successors(b);
+        if (stack.back().second < succ.count) {
+            const u32 s = succ.ids[stack.back().second++];
+            if (!visited[s]) {
+                visited[s] = 1;
+                stack.emplace_back(s, 0);
+            }
+            continue;
         }
         post.push_back(b);
-    };
-    dfs(0);
+        stack.pop_back();
+    }
     std::reverse(post.begin(), post.end());
     return post;
 }

@@ -17,7 +17,12 @@ namespace trips::compiler {
 class VregSet
 {
   public:
-    explicit VregSet(size_t n = 0) : words((n + 63) / 64, 0), nbits(n) {}
+    explicit VregSet(size_t n = 0) : nbits(n)
+    {
+        words.reserve((n + 63) / 64);
+        for (size_t w = 0; w < (n + 63) / 64; ++w)
+            words.push_back(0);
+    }
 
     void set(u32 i) { words[i >> 6] |= 1ULL << (i & 63); }
     void clear(u32 i) { words[i >> 6] &= ~(1ULL << (i & 63)); }
@@ -74,6 +79,7 @@ class VregSet
     bits() const
     {
         std::vector<u32> out;
+        out.reserve(count());
         forEach([&](u32 i) { out.push_back(i); });
         return out;
     }
@@ -88,7 +94,9 @@ class VregSet
     }
 
   private:
-    std::vector<u64> words;
+    /** Inline up to 256 vregs: a set over a generated program's
+     *  function never touches the heap. */
+    SmallVec<u64, 4> words;
     size_t nbits;
 };
 

@@ -53,7 +53,9 @@ struct FormElem
     bool pol;
     bool operator==(const FormElem &) const = default;
 };
-using FormChain = std::vector<FormElem>;
+/** An edge's predicate chain: at most maxPredDepth + 1 elements, which
+ *  stay inline for every preset. */
+using FormChain = SmallVec<FormElem, 8>;
 
 /** Region budget of one root in WIR ops and memory ops; a singleton
  *  root is neither grown nor absorbed into another region. */
@@ -69,10 +71,21 @@ formRegionsOf(const Function &f, const Options &opts,
               const std::vector<RegionBudget> &budgets)
 {
     const size_t nb = f.blocks.size();
-    std::vector<std::vector<u32>> preds(nb);
+    // Predecessors in CSR form, each list in ascending block order.
+    std::vector<u32> predStart(nb + 1, 0);
     for (u32 b = 0; b < nb; ++b) {
         for (u32 s : f.successors(b))
-            preds[s].push_back(b);
+            ++predStart[s + 1];
+    }
+    for (size_t b = 0; b < nb; ++b)
+        predStart[b + 1] += predStart[b];
+    std::vector<u32> preds(predStart[nb]);
+    {
+        std::vector<u32> fill(predStart.begin(), predStart.end() - 1);
+        for (u32 b = 0; b < nb; ++b) {
+            for (u32 s : f.successors(b))
+                preds[fill[s]++] = b;
+        }
     }
     auto rpo = reversePostOrder(f);
     std::vector<u32> rpo_pos(nb, 0xffffffff);
@@ -81,6 +94,14 @@ formRegionsOf(const Function &f, const Options &opts,
 
     std::vector<i32> assigned(nb, -1);
     std::vector<Region> regions;
+    regions.reserve(nb);
+    // Per block, for the region being formed: its chain once a member,
+    // and membership stamps (the region's index). `inPass` holds the
+    // members as of the start of the current growth pass; `inRegion`
+    // every member so far.
+    std::vector<FormChain> chain(nb);
+    constexpr u32 NONE = 0xffffffff;
+    std::vector<u32> inPass(nb, NONE), inRegion(nb, NONE);
 
     // Chain of a candidate edge pred -> succ.
     auto edge_chain = [&](const FormChain &pc, u32 p, u32 s) {
@@ -98,18 +119,17 @@ formRegionsOf(const Function &f, const Options &opts,
         Region r;
         r.members.push_back(b);
         assigned[b] = static_cast<i32>(ridx);
+        inRegion[b] = ridx;
         r.isCall = isCallBlock(f, b);
 
         const RegionBudget &budget = budgets[b];
         bool grow = opts.enablePredication && !r.isCall && !budget.singleton;
-        std::map<u32, FormChain> chain;
-        chain[b] = {};
+        chain[b].clear();
         u64 ops = f.blocks[b].instrs.size();
         unsigned mems = blockMemOps(f, b);
 
         auto count_exits = [&]() {
             unsigned n = 0;
-            std::set<u32> mem(r.members.begin(), r.members.end());
             for (u32 m : r.members) {
                 const auto &t = f.blocks[m].term;
                 if (t.kind == TermKind::Ret) {
@@ -117,7 +137,7 @@ formRegionsOf(const Function &f, const Options &opts,
                     continue;
                 }
                 for (u32 s : f.successors(m)) {
-                    if (!mem.count(s) || s == b)
+                    if (inRegion[s] != ridx || s == b)
                         ++n;
                 }
             }
@@ -125,34 +145,35 @@ formRegionsOf(const Function &f, const Options &opts,
         };
 
         bool grew = grow;
+        size_t stamped = 0;
         while (grew) {
             grew = false;
-            std::set<u32> mem(r.members.begin(), r.members.end());
+            for (; stamped < r.members.size(); ++stamped)
+                inPass[r.members[stamped]] = ridx;
             // By index: adding a member may reallocate r.members. A
             // pass ends after the member whose successor it added.
             const size_t n0 = r.members.size();
             for (size_t i = 0; i < n0 && !grew; ++i) {
                 for (u32 s : f.successors(r.members[i])) {
-                    if (s == b || mem.count(s) || assigned[s] >= 0)
+                    if (s == b || inPass[s] == ridx || assigned[s] >= 0)
                         continue;
                     if (s == 0 || isCallBlock(f, s) || budgets[s].singleton)
                         continue;
                     // All predecessors must already be inside.
+                    const u32 *pb = preds.data() + predStart[s];
+                    const u32 *pe = preds.data() + predStart[s + 1];
                     bool all_in = true;
-                    for (u32 p : preds[s])
-                        all_in &= mem.count(p) != 0;
+                    for (const u32 *p = pb; p != pe; ++p)
+                        all_in &= inPass[*p] == ridx;
                     if (!all_in)
                         continue;
                     // Join-shape check.
-                    std::vector<FormChain> in_chains;
-                    for (u32 p : preds[s])
-                        in_chains.push_back(edge_chain(chain[p], p, s));
                     FormChain nc;
-                    if (in_chains.size() == 1) {
-                        nc = in_chains[0];
-                    } else if (in_chains.size() == 2) {
-                        auto &c1 = in_chains[0];
-                        auto &c2 = in_chains[1];
+                    if (pe - pb == 1) {
+                        nc = edge_chain(chain[pb[0]], pb[0], s);
+                    } else if (pe - pb == 2) {
+                        const FormChain c1 = edge_chain(chain[pb[0]], pb[0], s);
+                        const FormChain c2 = edge_chain(chain[pb[1]], pb[1], s);
                         if (c1.size() != c2.size() || c1.empty())
                             continue;
                         bool sibling = true;
@@ -173,8 +194,10 @@ formRegionsOf(const Function &f, const Options &opts,
                     if (mems + blockMemOps(f, s) > budget.mems)
                         continue;
                     r.members.push_back(s);
+                    inRegion[s] = ridx;
                     if (count_exits() > 7) {
                         r.members.pop_back();
+                        inRegion[s] = NONE;
                         continue;
                     }
                     assigned[s] = static_cast<i32>(ridx);
@@ -308,16 +331,18 @@ class FuncCompiler
         spillBound = f.nextVreg;
         live.emplace(f);
         planSpills();
+        // The CFG is final from here on (spillToFrame rewrites only
+        // instructions), so loop depths are computed once.
+        blockDepth.assign(f.blocks.size(), 0);
+        for (const NaturalLoop &lp : findLoops(f)) {
+            for (u32 b : lp.body)
+                ++blockDepth[b];
+        }
     }
 
     std::vector<unsigned>
     regionLoopDepths() const
     {
-        std::vector<unsigned> blockDepth(f.blocks.size(), 0);
-        for (const NaturalLoop &lp : findLoops(f)) {
-            for (u32 b : lp.body)
-                ++blockDepth[b];
-        }
         std::vector<unsigned> out(regions.size(), 0);
         for (u32 ri = 0; ri < regions.size(); ++ri) {
             for (u32 m : regions[ri].members)
@@ -518,6 +543,7 @@ class FuncCompiler
     std::optional<Liveness> live;
     std::vector<Region> regions;
     std::vector<RegionBudget> budgets;  ///< per WIR block, as a root
+    std::vector<unsigned> blockDepth;   ///< natural-loop depth per block
     std::vector<i32> blockRegion;
     std::vector<u32> memberPos;   ///< block -> position in its region
     Vreg vregSPV = 0, vregRETV = 0, vregSPREST = 0;
@@ -706,7 +732,7 @@ class FuncCompiler
         const ValSource &prods = prodsOf(g, vs);
         auto &list = operand == 0 ? g.hb.nodes[node].in0
                                   : g.hb.nodes[node].in1;
-        list.insert(list.end(), prods.begin(), prods.end());
+        list.append(prods.begin(), prods.end());
     }
 
     /** The register-read slot of a vreg's incoming (pre-region) value,
@@ -777,6 +803,7 @@ class FuncCompiler
     }
 
     u32 curRegion = 0;
+    std::vector<ValSource *> leafScratch;  ///< connectOneWrite's sources
 
     HBlock
     genRegion(u32 ridx)
@@ -1554,6 +1581,7 @@ class FuncCompiler
         if (g.defined.test(vregSPV))
             write_set.set(vregSPV);
 
+        g.hb.writes.reserve(g.hb.writes.size() + write_set.count());
         write_set.forEach([&](Vreg v) {
             HWrite w;
             w.v = v;
@@ -1595,7 +1623,9 @@ class FuncCompiler
     connectOneWrite(GenState &g, HWrite &w)
     {
         // The source of w.v on each exit, parallel to g.exits.
-        std::vector<ValSource *> leaves;
+        // A member buffer: reused by every write of the function.
+        std::vector<ValSource *> &leaves = leafScratch;
+        leaves.clear();
         for (const CExit &e : g.exits)
             leaves.push_back(ctxFind(g.ctx[memberPos[e.exitBlock]], w.v));
         // Shortcut: single exit, or identical total sources everywhere.
@@ -1616,7 +1646,7 @@ class FuncCompiler
             if (!first)
                 inc = incomingVS(g, w.v);
             const ValSource &vs = prodsOf(g, first ? *leaves[0] : inc);
-            w.prods.insert(w.prods.end(), vs.begin(), vs.end());
+            w.prods.append(vs.begin(), vs.end());
             return;
         }
         for (size_t li = 0; li < leaves.size(); ++li) {

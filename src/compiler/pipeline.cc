@@ -24,6 +24,7 @@ using isa::PredMode;
 using til::HBlock;
 using til::HRead;
 using til::HWrite;
+using til::ProdSet;
 using til::TNode;
 using wir::Module;
 using wir::Vreg;
@@ -431,7 +432,7 @@ cutAt(const HBlock &rest, u32 K, const std::string &bLabel,
     auto inA = [&](i32 p) { return p >= 0 && p < static_cast<i32>(K); };
 
     // Classify every producer set consumed on the B side.
-    auto crossing = [&](const std::vector<i32> &set, bool &straddle) {
+    auto crossing = [&](const ProdSet &set, bool &straddle) {
         bool any_a = false, any_b = false;
         for (i32 p : set) {
             if (inA(p))
@@ -458,7 +459,7 @@ cutAt(const HBlock &rest, u32 K, const std::string &bLabel,
     std::sort(predSpills.begin(), predSpills.end());
 
     // Validate all crossing sets up front.
-    auto validate = [&](const std::vector<i32> &set) {
+    auto validate = [&](const ProdSet &set) {
         bool straddle = false;
         if (!crossing(set, straddle))
             return !straddle;
@@ -484,7 +485,7 @@ cutAt(const HBlock &rest, u32 K, const std::string &bLabel,
     // write counts inside the format limits.
     std::vector<u8> readUsedByB(rest.reads.size(), 0);
     {
-        auto scan = [&](const std::vector<i32> &set) {
+        auto scan = [&](const ProdSet &set) {
             bool straddle = false;
             if (crossing(set, straddle))
                 return;  // spilled: B sees a fresh vreg, not the read
@@ -566,8 +567,8 @@ cutAt(const HBlock &rest, u32 K, const std::string &bLabel,
     };
 
     // Remap an A-side producer list (A node ids are unchanged).
-    auto remapA = [&](const std::vector<i32> &set) {
-        std::vector<i32> out_set;
+    auto remapA = [&](const ProdSet &set) {
+        ProdSet out_set;
         for (i32 p : set)
             out_set.push_back(p >= 0 ? p : readA(p));
         return out_set;
@@ -575,8 +576,8 @@ cutAt(const HBlock &rest, u32 K, const std::string &bLabel,
 
     // One spill per distinct crossing set: a register write of the set
     // in A, a read of the fresh vreg in B.
-    std::map<std::vector<i32>, i32> spillOf;  // set -> B read producer id
-    auto spill = [&](const std::vector<i32> &set) {
+    std::map<ProdSet, i32> spillOf;  // set -> B read producer id
+    auto spill = [&](const ProdSet &set) {
         auto it = spillOf.find(set);
         if (it != spillOf.end())
             return it->second;
@@ -611,9 +612,9 @@ cutAt(const HBlock &rest, u32 K, const std::string &bLabel,
     auto mapBNode = [&](i32 old) {
         return old - static_cast<i32>(K) + P;
     };
-    auto remapB = [&](const std::vector<i32> &set) {
+    auto remapB = [&](const ProdSet &set) {
         bool straddle = false;
-        std::vector<i32> out_set;
+        ProdSet out_set;
         if (crossing(set, straddle)) {
             out_set.push_back(spill(set));
             return out_set;
@@ -765,8 +766,25 @@ void
 allocateRegisters(std::vector<HBlock> &hbs, const std::string &fname,
                   const std::vector<std::vector<Vreg>> &liveSets)
 {
-    struct Range { u32 lo = 0xffffffff, hi = 0; };
-    std::map<Vreg, Range> ranges;
+    // Per-vreg state is dense, indexed by vreg: every vreg that needs a
+    // register is a read or write of some block.
+    Vreg nvregs = 0;
+    for (const HBlock &hb : hbs) {
+        for (const HRead &r : hb.reads) {
+            if (r.fixedReg < 0 && r.v != wir::NO_VREG)
+                nvregs = std::max(nvregs, r.v + 1);
+        }
+        for (const HWrite &w : hb.writes) {
+            if (w.fixedReg < 0 && w.v != wir::NO_VREG)
+                nvregs = std::max(nvregs, w.v + 1);
+        }
+    }
+    struct Range
+    {
+        u32 lo = 0xffffffff, hi = 0;
+        bool used() const { return lo != 0xffffffff; }
+    };
+    std::vector<Range> ranges(nvregs);
     auto touch = [&](Vreg v, u32 region) {
         if (v == wir::NO_VREG)
             return;
@@ -787,17 +805,20 @@ allocateRegisters(std::vector<HBlock> &hbs, const std::string &fname,
     // Extend over liveness: only for vregs that need a register at all.
     for (u32 i = 0; i < liveSets.size() && i < hbs.size(); ++i) {
         for (Vreg v : liveSets[i]) {
-            if (ranges.count(v))
+            if (v < nvregs && ranges[v].used())
                 touch(v, i);
         }
     }
-    std::vector<std::pair<Vreg, Range>> order(ranges.begin(),
-                                              ranges.end());
+    std::vector<std::pair<Vreg, Range>> order;
+    for (Vreg v = 0; v < nvregs; ++v) {
+        if (ranges[v].used())
+            order.emplace_back(v, ranges[v]);
+    }
     std::sort(order.begin(), order.end(),
               [](const auto &a, const auto &b) {
                   return a.second.lo < b.second.lo;
               });
-    std::map<Vreg, int> assign;
+    std::vector<int> assign(nvregs, -1);
     std::vector<std::pair<u32, int>> active;  // (end, reg)
     std::vector<int> free_regs;
     for (int r = isa::NUM_REGS - 1; r >= abi::FIRST_ALLOC_REG; --r)
@@ -832,9 +853,9 @@ allocateRegisters(std::vector<HBlock> &hbs, const std::string &fname,
     }
     for (auto &hb : hbs) {
         for (auto &r : hb.reads)
-            r.assignedReg = r.fixedReg >= 0 ? r.fixedReg : assign.at(r.v);
+            r.assignedReg = r.fixedReg >= 0 ? r.fixedReg : assign[r.v];
         for (auto &w : hb.writes)
-            w.assignedReg = w.fixedReg >= 0 ? w.fixedReg : assign.at(w.v);
+            w.assignedReg = w.fixedReg >= 0 ? w.fixedReg : assign[w.v];
     }
 }
 
@@ -933,6 +954,7 @@ emitBlock(const HBlock &hb, const std::string &fname,
         TRIPS_ASSERT(given[r] <= 2, "read fanout failed in ", fname,
                      " block ", hb.label);
     }
+    blk.writes.reserve(hb.writes.size());
     for (auto &w : hb.writes) {
         isa::WriteInst wi;
         wi.reg = static_cast<u8>(w.assignedReg);

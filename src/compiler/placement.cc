@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <functional>
-#include <vector>
 
 #include "isa/topology.hh"
+#include "support/error.hh"
 
 namespace trips::compiler {
 
@@ -62,15 +62,19 @@ addRow(CostRow &cost, const CostRow &row)
         cost[et] += row[et];
 }
 
+/** Operand deliveries a block can hold: two targets per read and per
+ *  instruction. */
+constexpr size_t MAX_SOURCES = 2 * (isa::MAX_INSTS + isa::MAX_READS);
+
 /** Operand sources per instruction in CSR form: an entry >= 0 is a
- *  producing instruction, -1-bank a register read from that RT bank. */
+ *  producing instruction, -1-bank a register read from that RT bank.
+ *  Sized to the block limits, so building it allocates nothing. */
 struct Sources
 {
-    std::vector<u16> start;
-    std::vector<i16> src;
+    std::array<u16, isa::MAX_INSTS + 1> start{};
+    std::array<i16, MAX_SOURCES> src;
 
     explicit Sources(const Block &b)
-        : start(b.insts.size() + 1, 0)
     {
         auto feeds = [](const Target &t) {
             return t.kind != Target::Kind::None &&
@@ -95,53 +99,56 @@ struct Sources
         each([&](unsigned c, i16) { ++start[c + 1]; });
         for (size_t i = 0; i < b.insts.size(); ++i)
             start[i + 1] = static_cast<u16>(start[i + 1] + start[i]);
-        src.resize(start.back());
-        std::vector<u16> cursor(start.begin(), start.end() - 1);
+        std::array<u16, isa::MAX_INSTS> cursor;
+        std::copy(start.begin(), start.begin() + b.insts.size(),
+                  cursor.begin());
         each([&](unsigned c, i16 s) { src[cursor[c]++] = s; });
     }
 };
 
+using InstOrder = std::array<u16, isa::MAX_INSTS>;
+
 /** Topological order over intra-block dependences (Kahn), lowest
- *  ready index first. */
-std::vector<u16>
-topoOrder(const Block &b, const Sources &srcs)
+ *  ready index first, into `order[0, n)`. */
+void
+topoOrder(const Block &b, const Sources &srcs, InstOrder &order)
 {
     const size_t n = b.insts.size();
-    std::vector<u16> indeg(n, 0);
+    std::array<u16, isa::MAX_INSTS> indeg{};
     for (size_t i = 0; i < n; ++i) {
         for (u16 k = srcs.start[i]; k < srcs.start[i + 1]; ++k)
             indeg[i] += srcs.src[k] >= 0;
     }
-    std::vector<u16> order;
-    order.reserve(n);
-    std::vector<u16> ready;
+    size_t done = 0;
+    // A min-heap in ready[0, nready): lowest index first keeps program
+    // order among peers.
+    std::array<u16, isa::MAX_INSTS> ready;
+    size_t nready = 0;
     for (size_t i = 0; i < n; ++i) {
         if (indeg[i] == 0)
-            ready.push_back(static_cast<u16>(i));
+            ready[nready++] = static_cast<u16>(i);
     }
-    // A min-heap: lowest index first keeps program order among peers.
-    while (!ready.empty()) {
-        std::pop_heap(ready.begin(), ready.end(), std::greater<>());
-        const u16 i = ready.back();
-        ready.pop_back();
-        order.push_back(i);
+    while (nready > 0) {
+        std::pop_heap(ready.begin(), ready.begin() + nready,
+                      std::greater<>());
+        const u16 i = ready[--nready];
+        order[done++] = i;
         for (const Target &t : b.insts[i].targets) {
             if (t.kind == Target::Kind::None ||
                 t.kind == Target::Kind::Write)
                 continue;
             if (--indeg[t.index] == 0) {
-                ready.push_back(t.index);
-                std::push_heap(ready.begin(), ready.end(), std::greater<>());
+                ready[nready++] = t.index;
+                std::push_heap(ready.begin(), ready.begin() + nready,
+                               std::greater<>());
             }
         }
     }
     // Defensive: cycles (malformed) fall back to index order.
-    if (order.size() != n) {
-        order.clear();
+    if (done != n) {
         for (size_t i = 0; i < n; ++i)
-            order.push_back(static_cast<u16>(i));
+            order[i] = static_cast<u16>(i);
     }
-    return order;
 }
 
 } // namespace
@@ -150,17 +157,26 @@ void
 placeBlock(Block &b)
 {
     const size_t n = b.insts.size();
+    TRIPS_ASSERT(n <= isa::MAX_INSTS && b.reads.size() <= isa::MAX_READS,
+                 "placing block ", b.label, " beyond the block limits");
     b.placement.assign(n, 0);
     const Sources srcs(b);
     const CostTables &t = costTables();
 
+    // base[et]: ET et's load term, plus FULL once all its slots are
+    // taken. Blocks fit the array, so some ET is always free and a full
+    // one never wins; the first least-cost ET is the placement.
+    constexpr unsigned FULL = 1u << 28;
+    CostRow base{};
     std::array<unsigned, isa::NUM_ETS> used{};
-    std::vector<i16> pos(n, -1);  // assigned ET per inst
+    std::array<i16, isa::MAX_INSTS> pos;  // assigned ET per inst
+    std::fill(pos.begin(), pos.begin() + n, -1);
+    InstOrder order;
+    topoOrder(b, srcs, order);
 
-    for (u16 i : topoOrder(b, srcs)) {
-        CostRow cost;
-        for (unsigned et = 0; et < isa::NUM_ETS; ++et)
-            cost[et] = LOAD_COST * used[et];
+    for (size_t oi = 0; oi < n; ++oi) {
+        const u16 i = order[oi];
+        CostRow cost = base;
         for (u16 k = srcs.start[i]; k < srcs.start[i + 1]; ++k) {
             const i16 s = srcs.src[k];
             addRow(cost, s < 0         ? t.fromRt[-1 - s]
@@ -171,17 +187,16 @@ placeBlock(Block &b)
             addRow(cost, t.memory);
         if (isBranch(b.insts[i].op))
             addRow(cost, t.branch);
-        // First ET with the least cost among those with a free slot.
-        unsigned best = ~0u;
+        unsigned best = cost[0];
+        for (unsigned et = 1; et < isa::NUM_ETS; ++et)
+            best = std::min(best, cost[et]);
         unsigned best_et = 0;
-        for (unsigned et = 0; et < isa::NUM_ETS; ++et) {
-            if (used[et] < isa::SLOTS_PER_ET && cost[et] < best) {
-                best = cost[et];
-                best_et = et;
-            }
-        }
+        while (cost[best_et] != best)
+            ++best_et;
         pos[i] = static_cast<i16>(best_et);
-        ++used[best_et];
+        base[best_et] += LOAD_COST;
+        if (++used[best_et] == isa::SLOTS_PER_ET)
+            base[best_et] += FULL;
         b.placement[i] = static_cast<u8>(best_et);
     }
 }

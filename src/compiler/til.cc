@@ -24,7 +24,7 @@ prodName(i32 p)
 }
 
 std::string
-prodList(const std::vector<i32> &l)
+prodList(const ProdSet &l)
 {
     std::string s = "[";
     for (size_t i = 0; i < l.size(); ++i) {
@@ -185,7 +185,7 @@ verify(const HBlock &hb, const VerifyOptions &opts)
     for (size_t i = 0; i < n; ++i) {
         const TNode &nd = hb.nodes[i];
         const auto &info = isa::opInfo(nd.op);
-        auto check_list = [&](const std::vector<i32> &l, const char *what)
+        auto check_list = [&](const ProdSet &l, const char *what)
             -> std::string {
             for (i32 p : l) {
                 if (p >= static_cast<i32>(n))
@@ -326,7 +326,6 @@ verify(const HBlock &hb, const VerifyOptions &opts)
     struct Edge { u32 node; u8 opnd; };             // opnd 2 = predicate
     std::vector<std::vector<Edge>> consumers(n);
     std::vector<std::vector<Edge>> readConsumers(hb.reads.size());
-    std::vector<std::vector<i32>> writeProds(hb.writes.size());
     auto note = [&](i32 p, Edge e) {
         if (p >= 0)
             consumers[p].push_back(e);
@@ -525,26 +524,18 @@ verify(const HBlock &hb, const VerifyOptions &opts)
 
 namespace {
 
+/**
+ * Does the set deliver on every path, given per-node delivery `memo`
+ * (1 = always delivers)? Node ids pre-fanout are topologically
+ * ordered, so an ascending pass over the memo converges.
+ */
+template <typename Memo>
 bool
-setTotal(const HBlock &hb, const std::vector<i8> &memo,
-         const std::vector<i32> &prods);
-
-/** Node ids pre-fanout are topologically ordered, so a simple
- *  ascending pass over the memo vector converges. */
-i8
-nodeDelivers(const std::vector<i8> &memo, i32 i)
+setTotal(const HBlock &hb, const Memo &memo, const ProdSet &prods)
 {
-    if (i < 0)
-        return 1;  // register reads always deliver
-    return memo[i];
-}
-
-bool
-setTotal(const HBlock &hb, const std::vector<i8> &memo,
-         const std::vector<i32> &prods)
-{
+    auto delivers = [&](i32 i) { return i < 0 || memo[i] == 1; };
     if (prods.size() == 1)
-        return nodeDelivers(memo, prods[0]) == 1;
+        return delivers(prods[0]);  // register reads always deliver
     if (prods.size() == 2) {
         i32 a = prods[0], b = prods[1];
         if (a < 0 || b < 0)
@@ -591,12 +582,9 @@ alwaysDelivers(const HBlock &hb)
 
 bool
 totalSet(const HBlock &hb, const std::vector<bool> &always,
-         const std::vector<i32> &prods)
+         const ProdSet &prods)
 {
-    std::vector<i8> memo(hb.nodes.size());
-    for (size_t i = 0; i < hb.nodes.size(); ++i)
-        memo[i] = always[i] ? 1 : 0;
-    return setTotal(hb, memo, prods);
+    return setTotal(hb, always, prods);
 }
 
 } // namespace trips::compiler::til

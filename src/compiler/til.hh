@@ -39,9 +39,16 @@
 
 #include "isa/block.hh"
 #include "isa/opcode.hh"
+#include "support/pool.hh"
 #include "wir/wir.hh"
 
 namespace trips::compiler::til {
+
+/** A producer set: every producer that may deliver one operand's or
+ *  register write's single token. Almost every set holds one producer
+ *  or a merge's two, so both fit inline and the TIL allocates nothing
+ *  per operand. */
+using ProdSet = SmallVec<i32, 2>;
 
 /**
  * One TIL dataflow operation. Producers are referenced by id:
@@ -59,7 +66,7 @@ struct TNode
                               ///< exceed the ISA's 32-LSID limit)
     std::string targetLabel;  ///< BRO/CALLO destination
     std::string returnLabel;  ///< CALLO continuation
-    std::vector<i32> in0, in1;
+    ProdSet in0, in1;
 };
 
 /** Register read slot: injects a register value into the dataflow. */
@@ -76,7 +83,7 @@ struct HWrite
     wir::Vreg v = wir::NO_VREG;
     int fixedReg = -1;
     int assignedReg = -1;
-    std::vector<i32> prods;   ///< producer set (one token per path)
+    ProdSet prods;   ///< producer set (one token per path)
 };
 
 /** One TIL block (a hyperblock region in dataflow form). */
@@ -137,7 +144,7 @@ std::vector<bool> alwaysDelivers(const HBlock &hb);
  * always-delivering test.
  */
 bool totalSet(const HBlock &hb, const std::vector<bool> &always,
-              const std::vector<i32> &prods);
+              const ProdSet &prods);
 
 } // namespace trips::compiler::til
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <set>
-#include <sstream>
 
 namespace trips::isa {
 
@@ -33,22 +31,21 @@ Block::sizeClass() const
 
 namespace {
 
-/** Tracks which operand slots of which instructions have producers. */
+/** Tracks which operand slots of which instructions have producers.
+ *  Sized to the architectural limits, which validateBlock checks
+ *  first, so tracking allocates nothing. */
 struct OperandCoverage
 {
     // [inst][0]=op0, [1]=op1, [2]=pred
-    std::vector<std::array<bool, 3>> covered;
-    std::vector<bool> write_covered;
+    std::array<std::array<bool, 3>, MAX_INSTS> covered{};
+    std::array<bool, MAX_WRITES> write_covered{};
     // Header-read deliveries per slot, same layout.
-    std::vector<std::array<u8, 3>> read_hits;
-    std::vector<u8> write_read_hits;
+    std::array<std::array<u8, 3>, MAX_INSTS> read_hits{};
+    std::array<u8, MAX_WRITES> write_read_hits{};
+    size_t num_writes;
     std::string read_twice;  ///< first slot fed by two reads, if any
 
-    OperandCoverage(size_t insts, size_t writes)
-        : covered(insts, {false, false, false}),
-          write_covered(writes, false), read_hits(insts, {0, 0, 0}),
-          write_read_hits(writes, 0)
-    {}
+    explicit OperandCoverage(size_t writes) : num_writes(writes) {}
 
     std::string
     mark(const Target &t, size_t num_insts, bool from_read = false)
@@ -59,13 +56,10 @@ struct OperandCoverage
           case Target::Kind::Op0:
           case Target::Kind::Op1:
           case Target::Kind::Pred: {
-            if (t.index >= num_insts) {
-                std::ostringstream os;
-                os << "target references instruction slot "
-                   << unsigned(t.index) << " beyond block size "
-                   << num_insts;
-                return os.str();
-            }
+            if (t.index >= num_insts)
+                return ::trips::detail::formatMsg(
+                    "target references instruction slot ",
+                    unsigned(t.index), " beyond block size ", num_insts);
             unsigned operand = t.kind == Target::Kind::Op0 ? 0
                              : t.kind == Target::Kind::Op1 ? 1 : 2;
             covered[t.index][operand] = true;
@@ -76,12 +70,11 @@ struct OperandCoverage
             return "";
           }
           case Target::Kind::Write:
-            if (t.index >= write_covered.size()) {
-                std::ostringstream os;
-                os << "target references write slot " << unsigned(t.index)
-                   << " beyond write count " << write_covered.size();
-                return os.str();
-            }
+            if (t.index >= num_writes)
+                return ::trips::detail::formatMsg("target references write slot ",
+                                         unsigned(t.index),
+                                         " beyond write count ",
+                                         num_writes);
             write_covered[t.index] = true;
             if (from_read && ++write_read_hits[t.index] == 2 &&
                 read_twice.empty())
@@ -97,20 +90,20 @@ struct OperandCoverage
 std::string
 validateBlock(const Block &block, i32 num_program_blocks)
 {
-    std::ostringstream os;
+    // Messages are formatted only on failure: a valid block allocates
+    // nothing here but its fire schedule.
+    using ::trips::detail::formatMsg;
     if (block.insts.empty())
         return "block has no instructions";
-    if (block.insts.size() > MAX_INSTS) {
-        os << "block has " << block.insts.size() << " instructions (max "
-           << MAX_INSTS << ")";
-        return os.str();
-    }
+    if (block.insts.size() > MAX_INSTS)
+        return formatMsg("block has ", block.insts.size(),
+                         " instructions (max ", MAX_INSTS, ")");
     if (block.reads.size() > MAX_READS)
         return "too many read instructions";
     if (block.writes.size() > MAX_WRITES)
         return "too many write instructions";
 
-    OperandCoverage cov(block.insts.size(), block.writes.size());
+    OperandCoverage cov(block.writes.size());
 
     for (const auto &r : block.reads) {
         if (r.reg >= NUM_REGS)
@@ -127,7 +120,7 @@ validateBlock(const Block &block, i32 num_program_blocks)
     }
 
     u32 store_lsids = 0;
-    std::set<unsigned> exits;
+    u32 exits = 0;  ///< bit e: some branch takes exit e
     unsigned num_branches = 0;
     for (size_t i = 0; i < block.insts.size(); ++i) {
         const auto &in = block.insts[i];
@@ -160,7 +153,7 @@ validateBlock(const Block &block, i32 num_program_blocks)
             ++num_branches;
             if (in.exit >= MAX_EXITS)
                 return "exit number out of range";
-            exits.insert(in.exit);
+            exits |= 1u << in.exit;
             if (in.op != Opcode::RET) {
                 if (in.targetBlock < 0)
                     return "branch without resolved target block";
@@ -175,7 +168,7 @@ validateBlock(const Block &block, i32 num_program_blocks)
 
     if (num_branches == 0)
         return "block has no exit branch";
-    if (exits.size() != num_branches) {
+    if (static_cast<unsigned>(__builtin_popcount(exits)) != num_branches) {
         // Multiple branches may share an exit only if they are
         // predicate-complementary; the prototype required distinct exit
         // numbers, which the compiler guarantees.
@@ -188,28 +181,21 @@ validateBlock(const Block &block, i32 num_program_blocks)
     for (size_t i = 0; i < block.insts.size(); ++i) {
         const auto &in = block.insts[i];
         const auto &info = opInfo(in.op);
-        if (info.numInputs >= 1 && !cov.covered[i][0]) {
-            os << "instruction " << i << " (" << info.name
-               << ") operand 0 has no producer";
-            return os.str();
-        }
-        if (info.numInputs >= 2 && !cov.covered[i][1]) {
-            os << "instruction " << i << " (" << info.name
-               << ") operand 1 has no producer";
-            return os.str();
-        }
-        if (in.predicated() && !cov.covered[i][2]) {
-            os << "instruction " << i << " (" << info.name
-               << ") predicate has no producer";
-            return os.str();
-        }
+        if (info.numInputs >= 1 && !cov.covered[i][0])
+            return formatMsg("instruction ", i, " (", info.name,
+                             ") operand 0 has no producer");
+        if (info.numInputs >= 2 && !cov.covered[i][1])
+            return formatMsg("instruction ", i, " (", info.name,
+                             ") operand 1 has no producer");
+        if (in.predicated() && !cov.covered[i][2])
+            return formatMsg("instruction ", i, " (", info.name,
+                             ") predicate has no producer");
     }
     for (size_t w = 0; w < block.writes.size(); ++w) {
-        if (!cov.write_covered[w]) {
-            os << "write slot " << w << " (reg "
-               << unsigned(block.writes[w].reg) << ") has no producer";
-            return os.str();
-        }
+        if (!cov.write_covered[w])
+            return formatMsg("write slot ", w, " (reg ",
+                             unsigned(block.writes[w].reg),
+                             ") has no producer");
     }
 
     // Header reads deliver on every instance, so two of them into one
@@ -238,12 +224,21 @@ std::vector<u16>
 fireSchedule(const Block &block)
 {
     const size_t n = block.insts.size();
-    std::vector<u16> memOrder;
+    // One scratch buffer holds every working array, so a call makes
+    // two allocations (it and the schedule) whatever the block's size.
+    std::vector<u16> scratch(7 * n, 0);
+    u16 *const memOrder = scratch.data();
+    u16 *const succ = memOrder + n;   ///< fixed runs of three per inst
+    u16 *const nsucc = succ + 3 * n;
+    u16 *const indeg = nsucc + n;
+    u16 *const stack = indeg + n;
+
+    size_t nmem = 0;
     for (size_t i = 0; i < n; ++i) {
         if (isMemory(block.insts[i].op))
-            memOrder.push_back(static_cast<u16>(i));
+            memOrder[nmem++] = static_cast<u16>(i);
     }
-    std::sort(memOrder.begin(), memOrder.end(), [&](u16 a, u16 c) {
+    std::sort(memOrder, memOrder + nmem, [&](u16 a, u16 c) {
         if (block.insts[a].lsid != block.insts[c].lsid)
             return block.insts[a].lsid < block.insts[c].lsid;
         return a < c;
@@ -251,9 +246,6 @@ fireSchedule(const Block &block)
 
     // Every instruction has at most two targets plus one LSID-chain
     // successor, so the successor lists pack into fixed runs of three.
-    std::vector<u16> succ(3 * n);
-    std::vector<u8> nsucc(n, 0);
-    std::vector<u16> indeg(n, 0);
     for (size_t i = 0; i < n; ++i) {
         for (const auto &t : block.insts[i].targets) {
             if (t.kind != Target::Kind::Op0 && t.kind != Target::Kind::Op1 &&
@@ -265,7 +257,7 @@ fireSchedule(const Block &block)
             ++indeg[t.index];
         }
     }
-    for (size_t j = 1; j < memOrder.size(); ++j) {
+    for (size_t j = 1; j < nmem; ++j) {
         const u16 p = memOrder[j - 1];
         succ[3 * p + nsucc[p]++] = memOrder[j];
         ++indeg[memOrder[j]];
@@ -274,19 +266,18 @@ fireSchedule(const Block &block)
     // Kahn's algorithm; a cycle leaves the order short.
     std::vector<u16> sched;
     sched.reserve(n);
-    std::vector<u16> stack;
+    size_t top = 0;
     for (size_t i = 0; i < n; ++i) {
         if (indeg[i] == 0)
-            stack.push_back(static_cast<u16>(i));
+            stack[top++] = static_cast<u16>(i);
     }
-    while (!stack.empty()) {
-        const u16 i = stack.back();
-        stack.pop_back();
+    while (top > 0) {
+        const u16 i = stack[--top];
         sched.push_back(i);
         for (unsigned k = 0; k < nsucc[i]; ++k) {
             const u16 s = succ[3 * i + k];
             if (--indeg[s] == 0)
-                stack.push_back(s);
+                stack[top++] = s;
         }
     }
     return sched;

@@ -1,9 +1,9 @@
 #include "risc/wirtorisc.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
-#include <map>
-#include <set>
+#include <optional>
 
 #include "compiler/analysis.hh"
 #include "compiler/options.hh"
@@ -36,11 +36,62 @@ struct VInstr
     bool loadSigned = true;
 };
 
+/** A private unrolled copy of `fn`, or nothing when the preset does
+ *  not unroll (the function is then compiled in place). */
+std::optional<Function>
+unrolledCopy(const Function &fn, const RiscOptions &opts)
+{
+    if (opts.maxUnroll <= 1)
+        return std::nullopt;
+    std::optional<Function> copy(fn);
+    compiler::Options shim;
+    shim.maxUnroll = opts.maxUnroll;
+    shim.unrollBudgetOps = opts.unrollBudgetOps;
+    compiler::unrollLoops(*copy, shim);
+    return copy;
+}
+
+/** RISC opcode of each two- and one-operand WIR op, by WOp value;
+ *  ROp::NUM_OPS for the ops FuncGen::lower handles itself. */
+const std::array<ROp, 256> &
+simpleOps()
+{
+    static const std::array<ROp, 256> table = [] {
+        static const std::pair<WOp, ROp> simple[] = {
+            {WOp::Add, ROp::ADD}, {WOp::Sub, ROp::SUB},
+            {WOp::Mul, ROp::MUL}, {WOp::Div, ROp::DIV},
+            {WOp::DivU, ROp::DIVU}, {WOp::Mod, ROp::MOD},
+            {WOp::ModU, ROp::MODU}, {WOp::And, ROp::AND},
+            {WOp::Or, ROp::OR}, {WOp::Xor, ROp::XOR},
+            {WOp::Shl, ROp::SLL}, {WOp::Shr, ROp::SRL},
+            {WOp::Sar, ROp::SRA}, {WOp::Not, ROp::NOT},
+            {WOp::SextB, ROp::EXTSB}, {WOp::SextH, ROp::EXTSH},
+            {WOp::SextW, ROp::EXTSW}, {WOp::ZextB, ROp::EXTUB},
+            {WOp::ZextH, ROp::EXTUH}, {WOp::ZextW, ROp::EXTUW},
+            {WOp::FAdd, ROp::FADD}, {WOp::FSub, ROp::FSUB},
+            {WOp::FMul, ROp::FMUL}, {WOp::FDiv, ROp::FDIV},
+            {WOp::FNeg, ROp::FNEG}, {WOp::IToF, ROp::ITOF},
+            {WOp::FToI, ROp::FTOI}, {WOp::CmpEq, ROp::CMPEQ},
+            {WOp::CmpNe, ROp::CMPNE}, {WOp::CmpLt, ROp::CMPLT},
+            {WOp::CmpLe, ROp::CMPLE}, {WOp::CmpGt, ROp::CMPGT},
+            {WOp::CmpGe, ROp::CMPGE}, {WOp::CmpLtU, ROp::CMPLTU},
+            {WOp::CmpGeU, ROp::CMPGEU}, {WOp::FCmpEq, ROp::FCMPEQ},
+            {WOp::FCmpNe, ROp::FCMPNE}, {WOp::FCmpLt, ROp::FCMPLT},
+            {WOp::FCmpLe, ROp::FCMPLE},
+        };
+        std::array<ROp, 256> t;
+        t.fill(ROp::NUM_OPS);
+        for (const auto &[w, r] : simple)
+            t[static_cast<u8>(w)] = r;
+        return t;
+    }();
+    return table;
+}
+
 struct FuncGen
 {
-    const wir::Module &mod;
-    const RiscOptions &opts;
-    Function f;
+    std::optional<Function> unrolled;
+    const Function &f;   ///< `unrolled`, or the module's own function
     std::vector<VInstr> code;
     std::vector<u32> blockStart;   ///< WIR block -> vcode position
     Vreg nextTemp;
@@ -48,14 +99,9 @@ struct FuncGen
 
     FuncGen(const wir::Module &m, const std::string &name,
             const RiscOptions &o)
-        : mod(m), opts(o), f(m.function(name))
-    {
-        compiler::Options shim;
-        shim.maxUnroll = opts.maxUnroll;
-        shim.unrollBudgetOps = opts.unrollBudgetOps;
-        compiler::unrollLoops(f, shim);
-        nextTemp = f.nextVreg;
-    }
+        : unrolled(unrolledCopy(m.function(name), o)),
+          f(unrolled ? *unrolled : m.function(name)), nextTemp(f.nextVreg)
+    {}
 
     Vreg temp() { return nextTemp++; }
 
@@ -156,39 +202,14 @@ struct FuncGen
           default:
             break;
         }
-        static const std::pair<WOp, ROp> simple[] = {
-            {WOp::Add, ROp::ADD}, {WOp::Sub, ROp::SUB},
-            {WOp::Mul, ROp::MUL}, {WOp::Div, ROp::DIV},
-            {WOp::DivU, ROp::DIVU}, {WOp::Mod, ROp::MOD},
-            {WOp::ModU, ROp::MODU}, {WOp::And, ROp::AND},
-            {WOp::Or, ROp::OR}, {WOp::Xor, ROp::XOR},
-            {WOp::Shl, ROp::SLL}, {WOp::Shr, ROp::SRL},
-            {WOp::Sar, ROp::SRA}, {WOp::Not, ROp::NOT},
-            {WOp::SextB, ROp::EXTSB}, {WOp::SextH, ROp::EXTSH},
-            {WOp::SextW, ROp::EXTSW}, {WOp::ZextB, ROp::EXTUB},
-            {WOp::ZextH, ROp::EXTUH}, {WOp::ZextW, ROp::EXTUW},
-            {WOp::FAdd, ROp::FADD}, {WOp::FSub, ROp::FSUB},
-            {WOp::FMul, ROp::FMUL}, {WOp::FDiv, ROp::FDIV},
-            {WOp::FNeg, ROp::FNEG}, {WOp::IToF, ROp::ITOF},
-            {WOp::FToI, ROp::FTOI}, {WOp::CmpEq, ROp::CMPEQ},
-            {WOp::CmpNe, ROp::CMPNE}, {WOp::CmpLt, ROp::CMPLT},
-            {WOp::CmpLe, ROp::CMPLE}, {WOp::CmpGt, ROp::CMPGT},
-            {WOp::CmpGe, ROp::CMPGE}, {WOp::CmpLtU, ROp::CMPLTU},
-            {WOp::CmpGeU, ROp::CMPGEU}, {WOp::FCmpEq, ROp::FCMPEQ},
-            {WOp::FCmpNe, ROp::FCMPNE}, {WOp::FCmpLt, ROp::FCMPLT},
-            {WOp::FCmpLe, ROp::FCMPLE},
-        };
-        for (const auto &[w, r] : simple) {
-            if (w != in.op)
-                continue;
-            auto &e = emit(r);
-            e.vd = in.dst;
-            e.va = in.srcs[0];
-            if (in.srcs.size() > 1)
-                e.vb = in.srcs[1];
-            return;
-        }
-        TRIPS_PANIC("unhandled WIR op in RISC codegen");
+        const ROp r = simpleOps()[static_cast<u8>(in.op)];
+        if (r == ROp::NUM_OPS)
+            TRIPS_PANIC("unhandled WIR op in RISC codegen");
+        auto &e = emit(r);
+        e.vd = in.dst;
+        e.va = in.srcs[0];
+        if (in.srcs.size() > 1)
+            e.vb = in.srcs[1];
     }
 
     /** Generate virtual code with block layout and branch fixups. */
@@ -202,10 +223,13 @@ struct FuncGen
             mr.pa = static_cast<int>(REG_ARG0 + p);
         }
         auto rpo = compiler::reversePostOrder(f);
-        std::vector<u32> order_pos(f.blocks.size(), 0xffffffff);
-        for (u32 i = 0; i < rpo.size(); ++i)
-            order_pos[rpo[i]] = i;
         blockStart.assign(f.blocks.size(), NO_LABEL);
+        // Room for one instruction per WIR instruction plus a branch
+        // pair per block; only wide constants and calls grow past it.
+        size_t expect = code.size();
+        for (const auto &blk : f.blocks)
+            expect += blk.instrs.size() + 2;
+        code.reserve(expect);
 
         for (u32 oi = 0; oi < rpo.size(); ++oi) {
             u32 b = rpo[oi];
@@ -248,13 +272,17 @@ struct FuncGen
 struct Interval
 {
     u32 lo = 0xffffffff, hi = 0;
+
+    bool touched() const { return lo != 0xffffffff; }
 };
 
-std::map<Vreg, Interval>
+/** Intervals indexed by vreg (`nvregs` of them; untouched vregs keep
+ *  the empty default). */
+std::vector<Interval>
 computeIntervals(const std::vector<VInstr> &code,
-                 const std::vector<u32> &block_start)
+                 const std::vector<u32> &block_start, Vreg nvregs)
 {
-    std::map<Vreg, Interval> iv;
+    std::vector<Interval> iv(nvregs);
     auto touch = [&](u32 v, u32 pos) {
         if (v == wir::NO_VREG)
             return;
@@ -270,7 +298,10 @@ computeIntervals(const std::vector<VInstr> &code,
         touch(in.vd, p);
     }
     // Loop extension: any interval overlapping a backward branch span
-    // [target, branch] must cover the whole span.
+    // [target, branch] must cover the whole span. Each step reads and
+    // writes one interval only, so the fixed point does not depend on
+    // the order the intervals are visited in; an untouched interval
+    // (lo past every position) never overlaps a span.
     bool changed = true;
     while (changed) {
         changed = false;
@@ -281,13 +312,10 @@ computeIntervals(const std::vector<VInstr> &code,
             u32 t = block_start[in.labelBlock];
             if (t == NO_LABEL || t >= p)
                 continue;
-            for (auto &[v, i] : iv) {
+            for (Interval &i : iv) {
                 if (i.lo <= p && i.hi >= t && i.hi < p) {
                     i.hi = p;
                     changed = true;
-                }
-                if (i.lo <= p && i.hi >= t && i.lo > t) {
-                    // Defined before entering the loop body keeps lo.
                 }
             }
         }
@@ -307,32 +335,43 @@ compileToRisc(const wir::Module &mod, const RiscOptions &opts)
     RProgram prog;
     std::vector<std::pair<u32, std::string>> call_fixups;
 
-    std::vector<std::string> order;
-    order.push_back(mod.mainFunction);
+    std::vector<const std::string *> order{&mod.mainFunction};
     for (const auto &[name, fn] : mod.functions) {
         if (name != mod.mainFunction)
-            order.push_back(name);
+            order.push_back(&name);
     }
 
-    for (const auto &fname : order) {
-        FuncGen gen(mod, fname, opts);
+    for (const std::string *fname : order) {
+        FuncGen gen(mod, *fname, opts);
         gen.genBody();
 
         // ---- register allocation (linear scan) ----
-        auto intervals = computeIntervals(gen.code, gen.blockStart);
-        std::vector<std::pair<Vreg, Interval>> by_start(
-            intervals.begin(), intervals.end());
+        // Vregs are dense below nextTemp, so every per-vreg table is a
+        // vector indexed by vreg.
+        const Vreg nvregs = gen.nextTemp;
+        const std::vector<Interval> intervals =
+            computeIntervals(gen.code, gen.blockStart, nvregs);
+        std::vector<std::pair<Vreg, Interval>> by_start;
+        by_start.reserve(nvregs);
+        for (Vreg v = 0; v < nvregs; ++v) {
+            if (intervals[v].touched())
+                by_start.emplace_back(v, intervals[v]);
+        }
         std::sort(by_start.begin(), by_start.end(),
                   [](const auto &a, const auto &b) {
                       return a.second.lo < b.second.lo;
                   });
-        std::map<Vreg, int> reg_of;
-        std::map<Vreg, unsigned> spill_slot;
+        std::vector<int> reg_of(nvregs, -1);          ///< -1: spilled
+        std::vector<unsigned> spill_slot(nvregs, 0);
+        constexpr unsigned NUM_SAVED = LAST_SAVED - FIRST_SAVED + 1;
         std::vector<std::pair<u32, int>> active;
+        active.reserve(NUM_SAVED);
         std::vector<int> pool;
+        pool.reserve(NUM_SAVED);
         for (int r = LAST_SAVED; r >= static_cast<int>(FIRST_SAVED); --r)
             pool.push_back(r);
         unsigned n_spills = 0;
+        u32 used_saved = 0;   ///< bit r: callee-saved register r used
         for (auto &[v, iv] : by_start) {
             for (size_t i = 0; i < active.size();) {
                 if (active[i].first < iv.lo) {
@@ -348,24 +387,27 @@ compileToRisc(const wir::Module &mod, const RiscOptions &opts)
                 int r = pool.back();
                 pool.pop_back();
                 reg_of[v] = r;
+                used_saved |= 1u << r;
                 active.emplace_back(iv.hi, r);
             }
         }
 
         // ---- frame layout ----
-        std::set<int> used_saved;
-        for (auto &[v, r] : reg_of)
-            used_saved.insert(r);
-        unsigned frame = n_spills * 8 +
-                         static_cast<unsigned>(used_saved.size()) * 8 +
-                         (gen.isLeaf ? 0 : 8);
+        const unsigned n_saved =
+            static_cast<unsigned>(__builtin_popcount(used_saved));
+        // Call f(r) for each used callee-saved register, ascending.
+        auto forEachSaved = [&](auto &&f) {
+            for (u32 m = used_saved; m; m &= m - 1)
+                f(__builtin_ctz(m));
+        };
+        unsigned frame = n_spills * 8 + n_saved * 8 + (gen.isLeaf ? 0 : 8);
         frame = (frame + 15) & ~15u;
         unsigned saved_base = n_spills * 8;
-        unsigned lr_slot = saved_base +
-                           static_cast<unsigned>(used_saved.size()) * 8;
+        unsigned lr_slot = saved_base + n_saved * 8;
 
         // ---- rewrite to physical code with spill loads/stores ----
         std::vector<RInstr> body;
+        body.reserve(gen.code.size() + 16);
         std::vector<u32> vpos_to_ppos(gen.code.size() + 1, 0);
         auto emit_p = [&](RInstr in) { body.push_back(in); };
 
@@ -388,26 +430,26 @@ compileToRisc(const wir::Module &mod, const RiscOptions &opts)
         }
         {
             unsigned k = 0;
-            for (int r : used_saved) {
+            forEachSaved([&](int r) {
                 RInstr st;
                 st.op = ROp::STORE;
                 st.ra = REG_SP;
                 st.rb = static_cast<u8>(r);
                 st.imm = static_cast<i32>(saved_base + 8 * k++);
                 emit_p(st);
-            }
+            });
         }
 
         auto emit_epilogue = [&]() {
             unsigned k = 0;
-            for (int r : used_saved) {
+            forEachSaved([&](int r) {
                 RInstr ld;
                 ld.op = ROp::LOAD;
                 ld.rd = static_cast<u8>(r);
                 ld.ra = REG_SP;
                 ld.imm = static_cast<i32>(saved_base + 8 * k++);
                 emit_p(ld);
-            }
+            });
             if (!gen.isLeaf) {
                 RInstr ld;
                 ld.op = ROp::LOAD;
@@ -427,6 +469,11 @@ compileToRisc(const wir::Module &mod, const RiscOptions &opts)
         };
 
         std::vector<std::pair<u32, u32>> branch_fixups;  // (ppos, vtarget)
+        branch_fixups.reserve(static_cast<size_t>(
+            std::count_if(gen.code.begin(), gen.code.end(),
+                          [](const VInstr &vi) {
+                              return vi.labelBlock != NO_LABEL;
+                          })));
 
         for (u32 vp = 0; vp < gen.code.size(); ++vp) {
             vpos_to_ppos[vp] = static_cast<u32>(body.size());
@@ -438,9 +485,8 @@ compileToRisc(const wir::Module &mod, const RiscOptions &opts)
                     return static_cast<u8>(pre);
                 if (v == wir::NO_VREG)
                     return 0;
-                auto it = reg_of.find(v);
-                if (it != reg_of.end())
-                    return static_cast<u8>(it->second);
+                if (reg_of[v] >= 0)
+                    return static_cast<u8>(reg_of[v]);
                 // Spilled: reload into a scratch register.
                 unsigned s = scratch_next++;
                 TRIPS_ASSERT(s <= SCRATCH2, "scratch overflow");
@@ -448,7 +494,7 @@ compileToRisc(const wir::Module &mod, const RiscOptions &opts)
                 ld.op = ROp::LOAD;
                 ld.rd = static_cast<u8>(s);
                 ld.ra = REG_SP;
-                ld.imm = static_cast<i32>(spill_slot.at(v) * 8);
+                ld.imm = static_cast<i32>(spill_slot[v] * 8);
                 emit_p(ld);
                 return static_cast<u8>(s);
             };
@@ -467,13 +513,12 @@ compileToRisc(const wir::Module &mod, const RiscOptions &opts)
             if (vi.pd >= 0) {
                 out.rd = static_cast<u8>(vi.pd);
             } else if (vi.vd != wir::NO_VREG) {
-                auto it = reg_of.find(vi.vd);
-                if (it != reg_of.end()) {
-                    out.rd = static_cast<u8>(it->second);
+                if (reg_of[vi.vd] >= 0) {
+                    out.rd = static_cast<u8>(reg_of[vi.vd]);
                 } else {
                     out.rd = SCRATCH0;
                     spill_dst = true;
-                    dst_slot = spill_slot.at(vi.vd);
+                    dst_slot = spill_slot[vi.vd];
                 }
             }
 
@@ -507,9 +552,8 @@ compileToRisc(const wir::Module &mod, const RiscOptions &opts)
             u32 vtarget = gen.blockStart[vblock];
             body[ppos].target = base + vpos_to_ppos[vtarget];
         }
-        prog.functionEntry[fname] = base;
-        for (auto &in : body)
-            prog.code.push_back(in);
+        prog.functionEntry[*fname] = base;
+        prog.code.insert(prog.code.end(), body.begin(), body.end());
     }
 
     for (auto &[pos, callee] : call_fixups)

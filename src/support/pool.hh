@@ -21,7 +21,9 @@
 #ifndef TRIPSIM_SUPPORT_POOL_HH
 #define TRIPSIM_SUPPORT_POOL_HH
 
+#include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -33,8 +35,9 @@ namespace trips {
 
 /**
  * Small-buffer vector. Supports the subset of std::vector the
- * simulators use; growth keeps the old elements (copied, so T must be
- * copyable) and clear()/pop_back() never release storage.
+ * simulators and the compiler use; growth keeps the old elements
+ * (copied, so T must be copyable) and clear()/pop_back() never release
+ * storage.
  */
 template <typename T, unsigned N>
 class SmallVec
@@ -46,6 +49,11 @@ class SmallVec
 
     SmallVec(const SmallVec &o) { assignFrom(o); }
 
+    /** Takes a spilled buffer over; inline elements are copied. */
+    SmallVec(SmallVec &&o) noexcept { takeFrom(o); }
+
+    SmallVec(std::initializer_list<T> l) { assign(l.begin(), l.end()); }
+
     SmallVec &
     operator=(const SmallVec &o)
     {
@@ -54,6 +62,55 @@ class SmallVec
             assignFrom(o);
         }
         return *this;
+    }
+
+    SmallVec &
+    operator=(SmallVec &&o) noexcept
+    {
+        if (this != &o) {
+            clear();
+            if (o.data_ != o.inlineData()) {
+                if (data_ != inlineData())
+                    releaseHeap(data_);
+                data_ = inlineData();
+                cap_ = N;
+            }
+            takeFrom(o);
+        }
+        return *this;
+    }
+
+    SmallVec &
+    operator=(std::initializer_list<T> l)
+    {
+        assign(l.begin(), l.end());
+        return *this;
+    }
+
+    /** Replace the contents with [first, last). */
+    template <typename It>
+    void
+    assign(It first, It last)
+    {
+        clear();
+        append(first, last);
+    }
+
+    /** Push [first, last) onto the back. */
+    template <typename It>
+    void
+    append(It first, It last)
+    {
+        for (; first != last; ++first)
+            push_back(*first);
+    }
+
+    /** Lexicographic order, as std::vector's (a map key). */
+    friend bool
+    operator<(const SmallVec &a, const SmallVec &b)
+    {
+        return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                            b.end());
     }
 
     ~SmallVec()
@@ -156,6 +213,26 @@ class SmallVec
   private:
     T *inlineData() { return std::launder(reinterpret_cast<T *>(store_)); }
 
+    /** Move o's elements into this empty vector and leave o empty:
+     *  a heap buffer changes owner, inline elements are copied. */
+    void
+    takeFrom(SmallVec &o) noexcept
+    {
+        if (o.data_ != o.inlineData()) {
+            data_ = o.data_;
+            cap_ = o.cap_;
+            size_ = o.size_;
+            o.data_ = o.inlineData();
+            o.cap_ = N;
+            o.size_ = 0;
+            return;
+        }
+        for (size_t i = 0; i < o.size_; ++i)
+            new (data_ + i) T(o.data_[i]);
+        size_ = o.size_;
+        o.clear();
+    }
+
     void
     assignFrom(const SmallVec &o)
     {
@@ -176,7 +253,9 @@ class SmallVec
     void
     grow(size_t want)
     {
-        size_t cap = cap_;
+        // cap_ >= N always; the max says so to the optimizer, whose
+        // bounds warnings otherwise assume an empty buffer.
+        size_t cap = std::max<size_t>(cap_, N);
         while (cap < want)
             cap *= 2;
         T *heap = static_cast<T *>(

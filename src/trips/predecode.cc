@@ -1,5 +1,8 @@
 #include "trips/predecode.hh"
 
+#include <algorithm>
+#include <array>
+
 #include "support/error.hh"
 #include "trips/exec_core.hh"
 
@@ -63,66 +66,93 @@ decodeBlock(const Block &b)
         b.writes.size() > isa::MAX_WRITES)
         refuse("exceeds the architectural limits");
 
-    const std::vector<u16> sched = isa::fireSchedule(b);
+    d.orig = isa::fireSchedule(b);
+    const std::vector<u16> &sched = d.orig;
     if (sched.size() != n)
         refuse("no static fire schedule (cyclic dataflow + LSID graph)");
 
     // Renumber into schedule order: position in the walk IS the
     // instruction index from here on. Header read r becomes result
     // index n + r (its value is injected at block start).
-    std::vector<u16> newIdx(n);
+    std::array<u16, isa::MAX_INSTS> newIdx;
     for (size_t k = 0; k < n; ++k)
         newIdx[sched[k]] = static_cast<u16>(k);
 
-    // Per-slot static producer lists (operand slots in new numbering;
-    // one extra bucket per header write slot).
-    std::vector<std::vector<SrcRef>> slotProd(3 * n);
-    std::vector<std::vector<SrcRef>> writeProd(b.writes.size());
-    auto note = [&](const Target &t, SrcRef prod) {
-        u8 slot = slotOf(t);
-        if (slot == 0xff)
-            return;
-        if (t.index >= (slot == 3 ? b.writes.size() : n))
-            refuse("target names a missing slot");
-        if (slot == 3)
-            writeProd[t.index].push_back(prod);
-        else
-            slotProd[3 * newIdx[t.index] + slot].push_back(prod);
+    // Static producer lists in one CSR array over buckets: 3 * k + s is
+    // operand slot s of instruction k (new numbering), 3 * n + w header
+    // write slot w. A list keeps delivery order: header reads first,
+    // then instructions in block order. Every read and instruction has
+    // two target fields, which bounds the deliveries.
+    constexpr size_t MAX_BUCKETS = 3 * isa::MAX_INSTS + isa::MAX_WRITES;
+    constexpr size_t MAX_DELIVERIES = 2 * (isa::MAX_INSTS + isa::MAX_READS);
+    const size_t nbuckets = 3 * n + b.writes.size();
+    auto forEachDelivery = [&](auto &&deliver) {
+        auto note = [&](const Target &t, SrcRef prod) {
+            u8 slot = slotOf(t);
+            if (slot == 0xff)
+                return;
+            if (t.index >= (slot == 3 ? b.writes.size() : n))
+                refuse("target names a missing slot");
+            deliver(slot == 3 ? 3 * n + t.index
+                              : 3 * size_t{newIdx[t.index]} + slot,
+                    prod);
+        };
+        for (size_t r = 0; r < b.reads.size(); ++r) {
+            for (const auto &t : b.reads[r].targets)
+                note(t, static_cast<SrcRef>(n + r));
+        }
+        for (size_t i = 0; i < n; ++i) {
+            // Stores and branches have no outputs, so any encoded
+            // targets they carry (validateBlock rejects them) must not
+            // become producers.
+            const OpClass cls = opInfo(b.insts[i].op).cls;
+            if (cls == OpClass::Store || cls == OpClass::Branch)
+                continue;
+            for (const auto &t : b.insts[i].targets)
+                note(t, newIdx[i]);
+        }
     };
-    for (size_t r = 0; r < b.reads.size(); ++r) {
-        for (const auto &t : b.reads[r].targets)
-            note(t, static_cast<SrcRef>(n + r));
-    }
-    for (size_t i = 0; i < n; ++i) {
-        // Stores and branches have no outputs, so any encoded targets
-        // they carry (validateBlock rejects them) must not become
-        // producers.
-        const OpClass cls = opInfo(b.insts[i].op).cls;
-        if (cls == OpClass::Store || cls == OpClass::Branch)
-            continue;
-        for (const auto &t : b.insts[i].targets)
-            note(t, newIdx[i]);
-    }
+    std::array<u16, MAX_BUCKETS + 1> prodStart{};
+    forEachDelivery([&](size_t bucket, SrcRef) { ++prodStart[bucket + 1]; });
+    for (size_t k = 0; k < nbuckets; ++k)
+        prodStart[k + 1] += prodStart[k];
+    std::array<u16, MAX_BUCKETS> fill;
+    std::copy(prodStart.begin(), prodStart.begin() + nbuckets, fill.begin());
+    std::array<SrcRef, MAX_DELIVERIES> prods;
+    forEachDelivery(
+        [&](size_t bucket, SrcRef prod) { prods[fill[bucket]++] = prod; });
 
     // Encode each producer list as a SrcRef; multi-producer slots spill
-    // into the merge pool. Two header reads into one slot would deliver
-    // twice on *every* instance. The pool cannot overflow: a block has
-    // at most 2 * (MAX_INSTS + MAX_READS) deliveries.
-    auto encodeSlot = [&](const std::vector<SrcRef> &prods) -> SrcRef {
-        if (prods.empty())
+    // into the merge pool, reserved to its exact size up front. Two
+    // header reads into one slot would deliver twice on *every*
+    // instance. The pool cannot overflow: a block has at most
+    // 2 * (MAX_INSTS + MAX_READS) deliveries.
+    size_t poolSize = 0, mergeSlots = 0;
+    for (size_t k = 0; k < nbuckets; ++k) {
+        const size_t count = prodStart[k + 1] - prodStart[k];
+        if (count > 1) {
+            poolSize += 1 + count;
+            ++mergeSlots;
+        }
+    }
+    d.mergePool.reserve(poolSize);
+    d.mergeRefs.reserve(mergeSlots);
+    auto encodeSlot = [&](size_t bucket) -> SrcRef {
+        const SrcRef *first = prods.data() + prodStart[bucket];
+        const SrcRef *last = prods.data() + prodStart[bucket + 1];
+        if (first == last)
             return SRC_NONE_SLOT;
-        if (prods.size() == 1)
-            return prods[0];
+        if (last - first == 1)
+            return *first;
         unsigned reads = 0;
-        for (SrcRef p : prods)
-            reads += p >= n;
+        for (const SrcRef *p = first; p != last; ++p)
+            reads += *p >= n;
         if (reads > 1)
             refuse("two header reads deliver to one slot");
         SrcRef ref =
             static_cast<SrcRef>(SRC_MERGE | d.mergePool.size());
-        d.mergePool.push_back(static_cast<SrcRef>(prods.size()));
-        d.mergePool.insert(d.mergePool.end(), prods.begin(),
-                           prods.end());
+        d.mergePool.push_back(static_cast<SrcRef>(last - first));
+        d.mergePool.insert(d.mergePool.end(), first, last);
         d.mergeRefs.push_back(ref);
         return ref;
     };
@@ -133,14 +163,13 @@ decodeBlock(const Block &b)
     // reads always deliver) takes the specialized hot handler that
     // skips the predicate and arrival checks. SRC_NONE_SLOT and merge
     // slots are conservatively "not always".
-    std::vector<u8> always(SRC_NONE_SLOT + 1, 0);
+    std::array<u8, SRC_NONE_SLOT + 1> always{};
     for (size_t r = 0; r < b.reads.size(); ++r)
         always[n + r] = 1;
 
     d.insts.resize(n + 1);
     d.targetBlock.resize(n);
     d.returnBlock.resize(n);
-    d.orig = sched;
     for (size_t k = 0; k < n; ++k) {
         const auto &in = b.insts[sched[k]];
         const auto &info = opInfo(in.op);
@@ -152,9 +181,9 @@ decodeBlock(const Block &b)
         di.lsid = in.lsid;
         di.imm = static_cast<i64>(in.imm);
         di.width = isMemory(in.op) ? static_cast<u8>(memWidth(in.op)) : 0;
-        di.src0 = encodeSlot(slotProd[3 * k + 0]);
-        di.src1 = encodeSlot(slotProd[3 * k + 1]);
-        di.srcP = encodeSlot(slotProd[3 * k + 2]);
+        di.src0 = encodeSlot(3 * k + 0);
+        di.src1 = encodeSlot(3 * k + 1);
+        di.srcP = encodeSlot(3 * k + 2);
         // Stores and branches deliver nothing, so encoded targets on
         // them must not count as operand messages either — mirroring
         // the producer-note exclusion above.
@@ -200,12 +229,10 @@ decodeBlock(const Block &b)
     d.writeSrc.resize(b.writes.size());
     for (size_t w = 0; w < b.writes.size(); ++w) {
         d.writeReg[w] = b.writes[w].reg;
-        d.writeSrc[w] = encodeSlot(writeProd[w]);
+        d.writeSrc[w] = encodeSlot(3 * n + w);
     }
 
     d.memoFst.assign(DecodedBlock::MEMO_WAYS * n, 0);
-    d.insts.shrink_to_fit();
-    d.mergePool.shrink_to_fit();
     return d;
 }
 

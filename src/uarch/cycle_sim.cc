@@ -365,6 +365,11 @@ CycleSim::drainEvents()
 void
 CycleSim::startFetch(u32 block_idx)
 {
+    // Every frame in use: frameQueue holds exactly the non-free frames,
+    // so the scan below could not find one (the common case in a full
+    // window, where fetch retries every cycle).
+    if (frameQueue.size() == frames.size())
+        return;
     // Find a free frame.
     i32 slot = -1;
     for (unsigned i = 0; i < frames.size(); ++i) {

@@ -138,7 +138,7 @@ FunctionBuilder::call(const std::string &callee, std::vector<Vreg> args)
     Instr in;
     in.op = WOp::Call;
     in.dst = fresh();
-    in.srcs = std::move(args);
+    in.srcs.assign(args.begin(), args.end());
     in.callee = callee;
     cur().instrs.push_back(in);
     return in.dst;
@@ -150,7 +150,7 @@ FunctionBuilder::callVoid(const std::string &callee, std::vector<Vreg> args)
     Instr in;
     in.op = WOp::Call;
     in.dst = NO_VREG;
-    in.srcs = std::move(args);
+    in.srcs.assign(args.begin(), args.end());
     in.callee = callee;
     cur().instrs.push_back(in);
 }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "support/common.hh"
+#include "support/pool.hh"
 
 namespace trips::wir {
 
@@ -53,7 +54,10 @@ struct Instr
 {
     WOp op;
     Vreg dst = NO_VREG;
-    std::vector<Vreg> srcs;
+    /** Operands; every op but a call with four or more arguments keeps
+     *  them inline, so copying a function allocates per block, not per
+     *  instruction. */
+    SmallVec<Vreg, 3> srcs;
     i64 imm = 0;            ///< Const value or Load/Store displacement
     double fimm = 0.0;      ///< Const double value
     bool isFloat = false;   ///< Const: float constant; Load: reserved

@@ -75,8 +75,8 @@ addNode(HBlock &hb, Opcode op, std::vector<i32> in0 = {},
 {
     TNode n;
     n.op = op;
-    n.in0 = std::move(in0);
-    n.in1 = std::move(in1);
+    n.in0.assign(in0.begin(), in0.end());
+    n.in1.assign(in1.begin(), in1.end());
     n.predNode = pred;
     n.predPol = pol;
     hb.nodes.push_back(std::move(n));

@@ -2,16 +2,20 @@
  * @file
  * RISC backend tests: compiled RISC code must reproduce the WIR
  * interpreter's results, including under register pressure (spills),
- * calls, and unrolling; counters must be self-consistent.
+ * calls, and unrolling; counters must be self-consistent. Golden
+ * digests pin the generated code byte for byte.
  */
 
 #include <gtest/gtest.h>
 
+#include "harness/fuzzgen.hh"
+#include "harness/sweep.hh"
 #include "risc/core.hh"
 #include "risc/wirtorisc.hh"
 #include "support/rng.hh"
 #include "wir/builder.hh"
 #include "wir/interp.hh"
+#include "workloads/workload.hh"
 
 using namespace trips;
 using wir::FunctionBuilder;
@@ -198,4 +202,96 @@ TEST(Risc, UnrollingReducesBranches)
     // preserving per-iteration exit tests (no IV elimination).
     EXPECT_GT(pi.code.size(), pg.code.size());
     EXPECT_EQ(c1.counters().condBranches, c2.counters().condBranches);
+}
+
+// ---------------------------------------------------------------------
+// Codegen golden digest. One FNV-1a digest over every field of every
+// generated RInstr, the function entry table, the program entry and the
+// Core's counters after a run, under both presets, for the registry
+// workloads and a slice of generated programs. Any change to
+// instruction selection, register allocation, spill code or layout
+// moves it.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** FNV-1a over little-endian fields and raw strings. */
+struct Digest
+{
+    u64 h = 0xcbf29ce484222325ull;
+
+    void
+    put(u64 v, int bytes = 8)
+    {
+        for (int i = 0; i < bytes; ++i)
+            h = (h ^ static_cast<u8>(v >> (8 * i))) * 0x100000001b3ull;
+    }
+
+    void
+    str(const std::string &s)
+    {
+        put(s.size());
+        for (char c : s)
+            put(static_cast<u8>(c), 1);
+    }
+};
+
+void
+digestRisc(Digest &d, const Module &mod, const risc::RiscOptions &opts)
+{
+    const risc::RProgram prog = risc::compileToRisc(mod, opts);
+    d.put(prog.code.size());
+    for (const risc::RInstr &in : prog.code) {
+        d.put(static_cast<u8>(in.op), 1);
+        d.put(in.rd, 1);
+        d.put(in.ra, 1);
+        d.put(in.rb, 1);
+        d.put(in.rc, 1);
+        d.put(static_cast<u32>(in.imm), 4);
+        d.put(in.target, 4);
+        d.put(in.width, 1);
+        d.put(in.loadSigned, 1);
+    }
+    d.put(prog.entry, 4);
+    for (const auto &[name, pc] : prog.functionEntry) {
+        d.str(name);
+        d.put(pc, 4);
+    }
+
+    MemImage mem;
+    wir::Interp::loadGlobals(mod, mem);
+    risc::Core core(prog, mem);
+    d.put(static_cast<u64>(core.run()));
+    d.put(core.fuelExhausted(), 1);
+    const risc::RiscCounters &c = core.counters();
+    for (u64 v : {c.insts, c.loads, c.stores, c.regReads, c.regWrites,
+                  c.condBranches, c.takenCondBranches, c.calls, c.returns,
+                  c.intOps, c.fpOps, c.moves})
+        d.put(v);
+}
+
+} // namespace
+
+TEST(RiscGolden, RegistryWorkloads)
+{
+    Digest d;
+    for (const auto &w : workloads::all()) {
+        Module mod;
+        w.build(mod);
+        d.str(w.name);
+        digestRisc(d, mod, risc::RiscOptions::gcc());
+        digestRisc(d, mod, risc::RiscOptions::icc());
+    }
+    EXPECT_EQ(d.h, 0x43465abb05ecb19full);
+}
+
+TEST(RiscGolden, GeneratedPrograms)
+{
+    Digest d;
+    for (u64 i = 0; i < 256; ++i) {
+        Module mod = harness::generate(harness::taskSeed(0xc0de, i));
+        digestRisc(d, mod, risc::RiscOptions::gcc());
+        digestRisc(d, mod, risc::RiscOptions::icc());
+    }
+    EXPECT_EQ(d.h, 0xd27d641d701bfaf1ull);
 }

@@ -17,6 +17,9 @@
  *  - Load violation flush + dependence-predictor training.
  *  - Steady-state allocation freedom: heap allocations during run()
  *    plateau after warm-up instead of scaling with simulated cycles.
+ *  - Set-up allocation budgets: decoding a block allocates a constant
+ *    number of times whatever its size, and compiling a fixed program
+ *    to RISC stays under a pinned bound.
  */
 
 #include <gtest/gtest.h>
@@ -27,8 +30,12 @@
 
 #include "compiler/codegen.hh"
 #include "core/machines.hh"
+#include "harness/fuzzgen.hh"
+#include "harness/sweep.hh"
+#include "risc/wirtorisc.hh"
 #include "support/error.hh"
 #include "trips/func_sim.hh"
+#include "trips/predecode.hh"
 #include "uarch/cycle_sim.hh"
 #include "wir/builder.hh"
 #include "wir/interp.hh"
@@ -363,6 +370,97 @@ TEST(CycleSimAlloc, RunAllocationsPlateauAfterWarmup)
     EXPECT_LE(longRun, shortRun + 16)
         << "allocations scale with cycles: short=" << shortRun
         << " long=" << longRun;
+}
+
+// ---------------------------------------------------------------------
+// Set-up allocation budgets. Every generated program pays for its
+// compile, its blocks' decode and its RISC compile, so none of them
+// may allocate per instruction.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Most allocations one decodeBlock call may make, for any block:
+ *  the fire schedule's scratch and the decoded block's own arrays. */
+constexpr size_t DECODE_ALLOCS_PER_BLOCK = 12;
+
+size_t
+allocsToDecode(const isa::Block &b)
+{
+    const size_t before = g_heap_allocs.load();
+    sim::DecodedBlock d = sim::decodeBlock(b);
+    const size_t n = g_heap_allocs.load() - before;
+    EXPECT_EQ(d.n, b.insts.size());
+    return n;
+}
+
+/** A 128-instruction block: a read feeds a chain of 126 ADDIs whose
+ *  last link is the block's one register write, then a RET. */
+isa::Block
+fullChainBlock()
+{
+    using isa::Target;
+    isa::Block b;
+    b.label = "chain";
+    b.reads.resize(1);
+    b.reads[0].reg = 4;
+    b.reads[0].targets[0] = {Target::Kind::Op0, 0};
+    b.writes.resize(1);
+    b.writes[0].reg = 5;
+    b.insts.resize(isa::MAX_INSTS);
+    for (unsigned i = 0; i + 1 < isa::MAX_INSTS; ++i) {
+        isa::Instruction &in = b.insts[i];
+        in.op = isa::Opcode::ADDI;
+        in.imm = 1;
+        in.targets[0] = i + 2 < isa::MAX_INSTS
+                            ? Target{Target::Kind::Op0, static_cast<u8>(i + 1)}
+                            : Target{Target::Kind::Write, 0};
+    }
+    b.insts.back().op = isa::Opcode::RET;
+    return b;
+}
+
+} // namespace
+
+TEST(SetupAlloc, DecodeAllocationsPerBlockAreConstant)
+{
+    size_t blocks = 0, worst = 0, largest = 0;
+    for (u64 k = 0; k < 64; ++k) {
+        Module mod = harness::generate(harness::taskSeed(0xc0de, k));
+        const isa::Program prog =
+            compiler::compileToTrips(mod, compiler::Options::compiled());
+        for (u32 b = 0; b < prog.numBlocks(); ++b) {
+            worst = std::max(worst, allocsToDecode(prog.block(b)));
+            largest = std::max(largest, prog.block(b).insts.size());
+            ++blocks;
+        }
+    }
+    EXPECT_GT(blocks, 64u);
+    EXPECT_LE(worst, DECODE_ALLOCS_PER_BLOCK)
+        << "over " << blocks << " blocks of up to " << largest
+        << " instructions";
+
+    const isa::Block full = fullChainBlock();
+    EXPECT_LE(allocsToDecode(full), DECODE_ALLOCS_PER_BLOCK)
+        << "a 128-instruction block";
+}
+
+TEST(SetupAlloc, CompileRiscStaysUnderPinnedBound)
+{
+    // Pinned with ~20% headroom over the dense-allocator compile of
+    // this program (gcc 58, icc 114 allocations; icc also copies the
+    // function to unroll it). Per-vreg tree nodes and per-instruction
+    // operand vectors cost 460 and 569.
+    Module mod = harness::generate(harness::taskSeed(0xc0de, 0));
+    for (const auto &[who, opts, bound] :
+         {std::tuple{"gcc", risc::RiscOptions::gcc(), size_t{70}},
+          std::tuple{"icc", risc::RiscOptions::icc(), size_t{136}}}) {
+        const size_t before = g_heap_allocs.load();
+        const risc::RProgram prog = risc::compileToRisc(mod, opts);
+        const size_t allocs = g_heap_allocs.load() - before;
+        EXPECT_FALSE(prog.code.empty()) << who;
+        EXPECT_LE(allocs, bound) << who;
+    }
 }
 
 // ---------------------------------------------------------------------
