@@ -9,6 +9,8 @@
  *    deterministic same-cycle event order pinned -- see cycle_sim.hh),
  *    and the pool/wheel rework reproduced them bit-for-bit; any future
  *    perf work that shifts timing semantics trips these.
+ *  - A whole-result golden: one digest of every UarchResult field over
+ *    128 generated programs, per uarch preset.
  *  - OPN traffic-class accounting: every delivered operand lands in
  *    exactly one class distribution, request and reply classes are
  *    distinct, and the totals balance against packetsSent + bypasses.
@@ -26,6 +28,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include "compiler/codegen.hh"
@@ -196,6 +199,93 @@ TEST(UarchGoldenStats, CallLoop)
     EXPECT_EQ(r.uarch.instsFired, 1604u);
     EXPECT_EQ(r.uarch.blocksFlushed, 277u);
     EXPECT_EQ(r.uarch.opnPackets, 3203u);
+}
+
+// ---------------------------------------------------------------------
+// Whole-result golden over generated programs: every UarchResult field
+// of the first 128 generated programs of seed base 0xc0de, per preset.
+// The two narrow presets back up the outbox and the DT queues, which
+// the figure workloads barely do. Any change in event, packet or issue
+// order moves some counter of some run.
+// ---------------------------------------------------------------------
+
+namespace {
+
+struct Digest
+{
+    u64 h = 0xcbf29ce484222325ull;
+
+    void
+    put(u64 v)
+    {
+        for (int i = 0; i < 8; ++i)
+            h = (h ^ static_cast<u8>(v >> (8 * i))) * 0x100000001b3ull;
+    }
+
+    void
+    put(double v)
+    {
+        u64 bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        put(bits);
+    }
+};
+
+void
+digestResult(Digest &d, const uarch::UarchResult &r)
+{
+    d.put(static_cast<u64>(r.retVal));
+    d.put(u64{r.fuelExhausted});
+    for (u64 v : {r.cycles, r.blocksCommitted, r.blocksFlushed,
+                  r.instsFetched, r.instsFired, r.branchMispredicts,
+                  r.callRetMispredicts, r.loadViolationFlushes,
+                  r.icacheMissStalls, r.l1dHits, r.l1dMisses, r.l1iHits,
+                  r.l1iMisses, r.l2Hits, r.l2Misses, r.l1dWritebacks,
+                  r.l2Writebacks, r.loadsExecuted, r.storesCommitted,
+                  r.bytesL1, r.bytesL2, r.bytesMem, r.peakInstsInFlight,
+                  r.opnPackets, r.localBypasses})
+        d.put(v);
+    d.put(r.avgBlocksInFlight);
+    d.put(r.avgInstsInFlight);
+    const pred::NextBlockStats &p = r.predictor;
+    for (u64 v : {p.predictions, p.mispredictions, p.exitMispredicts,
+                  p.targetMispredicts, p.callRetMispredicts})
+        d.put(v);
+    for (const Distribution &dist : r.opnHops) {
+        d.put(u64{dist.numBuckets()});
+        for (unsigned b = 0; b < dist.numBuckets(); ++b)
+            d.put(dist.count(b));
+        d.put(dist.samples());
+        d.put(dist.mean());
+    }
+}
+
+u64
+generatedProgramsDigest(const uarch::UarchConfig &cfg)
+{
+    Digest d;
+    for (u64 k = 0; k < 128; ++k) {
+        Module mod = harness::generate(harness::taskSeed(0xc0de, k));
+        const isa::Program prog =
+            compiler::compileToTrips(mod, compiler::Options::compiled());
+        MemImage mem;
+        wir::Interp::loadGlobals(mod, mem);
+        uarch::CycleSim sim(prog, mem, cfg);
+        digestResult(d, sim.run());
+    }
+    return d.h;
+}
+
+} // namespace
+
+TEST(UarchGolden, GeneratedPrograms)
+{
+    EXPECT_EQ(generatedProgramsDigest(uarch::UarchConfig::prototype()),
+              0x621cb871e7b28bd5ull);
+    EXPECT_EQ(generatedProgramsDigest(uarch::UarchConfig::smallWindow()),
+              0x2c7c320bbb8506b2ull);
+    EXPECT_EQ(generatedProgramsDigest(uarch::UarchConfig::narrowIssue()),
+              0x985537cca6e995eeull);
 }
 
 // ---------------------------------------------------------------------
