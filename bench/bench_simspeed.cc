@@ -3,6 +3,7 @@
  *  bench/minibench/benchmark/benchmark.h). */
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -91,6 +92,65 @@ static void BM_CycleSim_traced(benchmark::State &state) {
         benchmark::DoNotOptimize(fx.run(true));
 }
 BENCHMARK(BM_CycleSim_traced)->Unit(benchmark::kMillisecond);
+
+// CycleSim alone over the programs of perfbench's `figures` pool: the
+// registry rows that take under ~250 ms each, compiled preset, plus the
+// hand preset for Simple workloads. Compiles and global images are
+// made once, outside the timed loop; an iteration copies each image
+// and runs every program once. The ns_per_cycle counter is host time
+// per simulated cycle over the timed loop, so this separates CycleSim
+// from the compile and RISC time that share a perfbench op with it.
+namespace {
+
+struct FiguresPool {
+    struct Entry {
+        isa::Program prog;
+        MemImage image;
+    };
+    std::vector<Entry> entries;
+
+    FiguresPool() {
+        for (const char *n :
+             {"vadd", "ct", "802.11a", "8b10b", "a2time", "rspeed", "ospf",
+              "routelookup", "conven", "fbital", "fft", "crafty", "mesa",
+              "wupwise", "axpy", "axpy_unroll", "dot", "dot_unroll",
+              "gemv", "gemv_tiled", "matmul", "matmul_tiled",
+              "matmul_tiled_unroll"}) {
+            const workloads::Workload &w = workloads::find(n);
+            wir::Module mod;
+            w.build(mod);
+            std::vector<compiler::Options> presets{
+                compiler::Options::compiled()};
+            if (w.isSimple)
+                presets.push_back(compiler::Options::hand());
+            for (const compiler::Options &o : presets) {
+                Entry e{compiler::compileToTrips(mod, o), MemImage{}};
+                wir::Interp::loadGlobals(mod, e.image);
+                entries.push_back(std::move(e));
+            }
+        }
+    }
+};
+
+} // namespace
+
+static void BM_CycleSimPool(benchmark::State &state) {
+    static const FiguresPool pool;
+    u64 cycles = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (auto _ : state) {
+        for (const FiguresPool::Entry &e : pool.entries) {
+            MemImage mem = e.image;
+            uarch::CycleSim sim(e.prog, mem);
+            cycles += sim.run().cycles;
+        }
+    }
+    const std::chrono::duration<double, std::nano> spent =
+        std::chrono::steady_clock::now() - t0;
+    state.counters["ns_per_cycle"] =
+        cycles ? spent.count() / static_cast<double>(cycles) : 0.0;
+}
+BENCHMARK(BM_CycleSimPool)->Unit(benchmark::kMillisecond);
 
 // The serial/parallel ChipSim pair drives the multicore CI perf gate:
 // same 4-core mix, lockstep reference vs the relaxed-quantum engine.

@@ -20,6 +20,8 @@
  *     long enough to trust (--benchmark_min_time, default 0.5s);
  *   - BENCHMARK(BM_x)->Unit(benchmark::kMillisecond);
  *   - benchmark::DoNotOptimize / ClobberMemory;
+ *   - plain user counters, `state.counters["name"] = value`, reported
+ *     as-is (google-benchmark's default Counter flags);
  *   - BENCHMARK_MAIN();
  *   - flags: --benchmark_filter=REGEX, --benchmark_repetitions=N,
  *     --benchmark_out=FILE, --benchmark_out_format=json,
@@ -31,7 +33,7 @@
  *     repetitions > 1, _mean/_median/_stddev/_cv aggregates.
  *
  * Not implemented (unused here): ranges/args, fixtures, threads,
- * counters, manual timing, custom reporters.
+ * counter flags (rates, averages), manual timing, custom reporters.
  */
 
 #ifndef TRIPSIM_MINIBENCH_BENCHMARK_H
@@ -47,6 +49,7 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <map>
 #include <regex>
 #include <string>
 #include <thread>
@@ -115,6 +118,8 @@ class State
     int64_t iterations() const { return max_iterations; }
 
     const int64_t max_iterations;
+    /** User counters of this run, reported beside its times. */
+    std::map<std::string, double> counters;
 };
 
 // ---------------------------------------------------------------------
@@ -220,6 +225,7 @@ struct RunResult
     double realTime = 0; ///< per-iteration, in timeUnit
     double cpuTime = 0;  ///< per-iteration, in timeUnit
     const char *timeUnit = "ns";
+    std::map<std::string, double> counters;
 };
 
 inline const char *
@@ -246,15 +252,19 @@ unitScale(TimeUnit u) // seconds -> unit
     return 1e9;
 }
 
-/** One timed pass of `iters` iterations; returns (real, cpu) seconds. */
+/** One timed pass of `iters` iterations; returns (real, cpu) seconds
+ *  and the run's user counters. */
 inline void
-timedRun(Benchmark *b, int64_t iters, double &realSecs, double &cpuSecs)
+timedRun(Benchmark *b, int64_t iters, double &realSecs, double &cpuSecs,
+         std::map<std::string, double> *counters = nullptr)
 {
     State st(iters);
     double r0 = nowRealSecs(), c0 = nowCpuSecs();
     b->fn()(st);
     realSecs = nowRealSecs() - r0;
     cpuSecs = nowCpuSecs() - c0;
+    if (counters)
+        *counters = st.counters;
 }
 
 /** Pick an iteration count whose run lasts at least minTimeSecs. */
@@ -279,8 +289,8 @@ inline RunResult
 runOne(Benchmark *b, int64_t iters, unsigned reps, unsigned repIdx)
 {
     double real, cpu;
-    timedRun(b, iters, real, cpu);
     RunResult r;
+    timedRun(b, iters, real, cpu, &r.counters);
     r.name = b->name();
     r.runName = b->name();
     r.runType = "iteration";
@@ -335,7 +345,7 @@ appendAggregates(std::vector<RunResult> &out,
         cpu.push_back(r.cpuTime);
     }
     auto agg = [&](const char *tag, double rv, double cv,
-                   const char *unit) {
+                   const char *unit, auto stat) {
         RunResult a;
         a.name = reps[0].runName + "_" + tag;
         a.runName = reps[0].runName;
@@ -346,15 +356,23 @@ appendAggregates(std::vector<RunResult> &out,
         a.realTime = rv;
         a.cpuTime = cv;
         a.timeUnit = unit;
+        for (const auto &kv : reps[0].counters) {
+            std::vector<double> v;
+            for (const auto &r : reps)
+                v.push_back(r.counters.at(kv.first));
+            a.counters[kv.first] = stat(v);
+        }
         out.push_back(a);
     };
+    auto cvOf = [](const std::vector<double> &v) {
+        double m = mean(v);
+        return m > 0 ? stddev(v) / m : 0;
+    };
     const char *u = reps[0].timeUnit;
-    agg("mean", mean(real), mean(cpu), u);
-    agg("median", median(real), median(cpu), u);
-    agg("stddev", stddev(real), stddev(cpu), u);
-    double mr = mean(real), mc = mean(cpu);
-    agg("cv", mr > 0 ? stddev(real) / mr : 0, mc > 0 ? stddev(cpu) / mc : 0,
-        "");
+    agg("mean", mean(real), mean(cpu), u, mean);
+    agg("median", median(real), median(cpu), u, median);
+    agg("stddev", stddev(real), stddev(cpu), u, stddev);
+    agg("cv", cvOf(real), cvOf(cpu), "", cvOf);
 }
 
 // ---------------------------------------------------------------------
@@ -417,8 +435,11 @@ writeJson(std::ostream &os, const std::vector<RunResult> &results)
            << ",\n"
            << "      \"iterations\": " << r.iterations << ",\n"
            << "      \"real_time\": " << r.realTime << ",\n"
-           << "      \"cpu_time\": " << r.cpuTime << ",\n"
-           << "      \"time_unit\": \"" << r.timeUnit << "\"\n"
+           << "      \"cpu_time\": " << r.cpuTime << ",\n";
+        for (const auto &kv : r.counters)
+            os << "      \"" << jsonEscape(kv.first) << "\": " << kv.second
+               << ",\n";
+        os << "      \"time_unit\": \"" << r.timeUnit << "\"\n"
            << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
@@ -432,9 +453,12 @@ printConsole(const std::vector<RunResult> &results)
                 "Iterations");
     std::printf("%s\n", std::string(66, '-').c_str());
     for (const auto &r : results) {
-        std::printf("%-32s %10.3f %s %10.3f %s %10lld\n", r.name.c_str(),
+        std::printf("%-32s %10.3f %s %10.3f %s %10lld", r.name.c_str(),
                     r.realTime, r.timeUnit, r.cpuTime, r.timeUnit,
                     static_cast<long long>(r.iterations));
+        for (const auto &kv : r.counters)
+            std::printf(" %s=%g", kv.first.c_str(), kv.second);
+        std::printf("\n");
     }
 }
 

@@ -80,7 +80,8 @@ out = {
     "context": context,
     "benchmarks": [
         {k: b[k] for k in
-         ("name", "iterations", "real_time", "cpu_time", "time_unit")
+         ("name", "iterations", "real_time", "cpu_time", "time_unit",
+          "ns_per_cycle")
          if k in b}
         for b in raw.get("benchmarks", [])
     ],

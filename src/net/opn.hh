@@ -119,6 +119,11 @@ class OpnNetwork
   public:
     static constexpr unsigned NODES = opn_detail::NODES;
     static constexpr unsigned FIFO_DEPTH = 4;
+    /** Every flit in the mesh sits in some FIFO slot, so this many
+     *  flit-table slots can never run out. */
+    static constexpr unsigned SLOTS = opn_detail::FIFOS * FIFO_DEPTH;
+    /** injectSlot()'s "local input FIFO full" answer. */
+    static constexpr u16 NO_SLOT = 0xffff;
 
     OpnNetwork()
     {
@@ -137,25 +142,39 @@ class OpnNetwork
     bool
     inject(OpnPacket pkt, Cycle now)
     {
+        return injectSlot(pkt, now) != NO_SLOT;
+    }
+
+    /**
+     * inject() that names the flit-table slot (< SLOTS) holding the
+     * packet, or returns NO_SLOT when the local input FIFO is full.
+     * The slot stays the packet's until the tick that delivers it has
+     * passed it to the sink, so an owner can key per-packet data by
+     * slot instead of allocating handles of its own.
+     */
+    u16
+    injectSlot(OpnPacket pkt, Cycle now)
+    {
         const unsigned f = pkt.src * 5u + opn_detail::PORT_LOCAL;
         if (depth[f] >= FIFO_DEPTH)
-            return false;
+            return NO_SLOT;
         const u16 slot = freeSlots[--numFree];
         pkt.injected = now;
         flits[slot] = pkt;
         push(f, static_cast<u16>(slot << 5 | pkt.dst));
         ++packets;
-        return true;
+        return slot;
     }
 
     /**
      * Advance one cycle and hand each packet that reaches its
-     * destination to @p sink, called as sink(const OpnPacket &) in
-     * ascending destination-node order (a node ejects at most one flit
-     * per tick). The tick is two-phase: every router arbitrates against
-     * the start-of-tick FIFO state, then the winning flits move. The
-     * sink runs during the move phase, so it must not touch this
-     * network (inject() included).
+     * destination to @p sink, called as sink(const OpnPacket &, slot)
+     * with the packet's injectSlot() slot, in ascending destination-
+     * node order (a node ejects at most one flit per tick). The tick
+     * is two-phase: every router arbitrates against the start-of-tick
+     * FIFO state, then the winning flits move. The sink runs during
+     * the move phase, so it must not touch this network (inject()
+     * included).
      */
     template <class Sink>
     void tick(Cycle now, Sink &&sink);
@@ -165,7 +184,9 @@ class OpnNetwork
     tick(Cycle now)
     {
         arrivals.clear();
-        tick(now, [this](const OpnPacket &p) { arrivals.push_back(p); });
+        tick(now, [this](const OpnPacket &p, unsigned) {
+            arrivals.push_back(p);
+        });
     }
 
     /** Packets that arrived in the last tick(now) (valid until the
@@ -199,9 +220,6 @@ class OpnNetwork
 
   private:
     static constexpr unsigned FIFOS = opn_detail::FIFOS;
-    /** Every flit in the mesh sits in some FIFO slot, so this many
-     *  flit-table entries can never run out. */
-    static constexpr unsigned SLOTS = FIFOS * FIFO_DEPTH;
     static constexpr unsigned MAX_HOPS =
         isa::OPN_ROWS + isa::OPN_COLS - 2;
     static constexpr size_t NUM_CLASSES =
@@ -331,7 +349,7 @@ OpnNetwork::tick(Cycle now, Sink &&sink)
         ++hopCount[static_cast<size_t>(pkt.cls)][h];
         latSum += now - pkt.injected;
         ++latCount;
-        sink(static_cast<const OpnPacket &>(pkt));
+        sink(static_cast<const OpnPacket &>(pkt), slot);
         freeSlots[numFree++] = static_cast<u16>(slot);
     }
 }

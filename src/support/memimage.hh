@@ -8,6 +8,7 @@
 #ifndef TRIPSIM_SUPPORT_MEMIMAGE_HH
 #define TRIPSIM_SUPPORT_MEMIMAGE_HH
 
+#include <algorithm>
 #include <cstring>
 #include <unordered_map>
 #include <vector>
@@ -92,12 +93,20 @@ class MemImage
         write64(a, bits);
     }
 
+    /** Copy @p n bytes to @p a, one page lookup per page touched; it
+     *  leaves the same resident pages as @p n single-byte writes. */
     void
     writeBytes(Addr a, const void *src, size_t n)
     {
         const u8 *p = static_cast<const u8 *>(src);
-        for (size_t i = 0; i < n; ++i)
-            write8(a + i, p[i]);
+        while (n > 0) {
+            const Addr off = a & (PAGE_SIZE - 1);
+            const size_t run = std::min<size_t>(n, PAGE_SIZE - off);
+            std::memcpy(page(a).data() + off, p, run);
+            a += run;
+            p += run;
+            n -= run;
+        }
     }
 
     /** Number of resident pages (for tests). */

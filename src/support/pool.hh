@@ -6,14 +6,10 @@
  *    spills to the heap only when it outgrows them, and that never
  *    returns capacity while alive (LoopModels-style reserve-and-reuse:
  *    clear() keeps the buffer, so a warmed-up loop stops allocating).
- *  - SlabPool<T>: an index-addressed object pool backed by fixed-size
- *    slabs with an intrusive free list. Handles are dense u32 ids that
- *    stay valid until freed; slabs are never returned, so steady-state
- *    alloc()/free() touches no allocator.
  *  - RingQueue<T, N>: a FIFO over a power-of-two ring buffer with N
  *    elements inline, growing (amortized, rarely) by doubling.
  *
- * All three require trivially-copyable-ish usage from the simulator
+ * Both require trivially-copyable-ish usage from the simulator
  * side (elements are moved with plain copies on growth), which every
  * packet/event/queue record here satisfies.
  */
@@ -275,83 +271,6 @@ class SmallVec
     T *data_ = reinterpret_cast<T *>(store_);
     size_t size_ = 0;
     size_t cap_ = N;
-};
-
-/**
- * Slab-backed object pool addressed by dense u32 handles. alloc()
- * copies its argument (default: a value-initialized T) into the slot;
- * slabs (SLAB objects each) are created on demand and kept forever, so
- * a warmed-up pool never allocates.
- */
-template <typename T, unsigned SLAB = 256>
-class SlabPool
-{
-    static_assert((SLAB & (SLAB - 1)) == 0, "slab size: power of two");
-
-  public:
-    using Id = u32;
-
-    SlabPool() = default;
-    SlabPool(const SlabPool &) = delete;
-    SlabPool &operator=(const SlabPool &) = delete;
-
-    ~SlabPool()
-    {
-        for (Slot *s : slabs)
-            delete[] s;
-    }
-
-    Id
-    alloc(const T &init = T{})
-    {
-        if (freeHead == NO_FREE) {
-            Id base = static_cast<Id>(slabs.size() * SLAB);
-            slabs.push_back(new Slot[SLAB]);
-            // Thread the fresh slab onto the free list back-to-front so
-            // ids are handed out in ascending order.
-            for (unsigned i = SLAB; i-- > 0;) {
-                slabs.back()[i].nextFree = freeHead;
-                freeHead = base + i;
-            }
-        }
-        Id id = freeHead;
-        Slot &s = slot(id);
-        freeHead = s.nextFree;
-        s.obj = init;
-        ++liveCount;
-        return id;
-    }
-
-    void
-    free(Id id)
-    {
-        Slot &s = slot(id);
-        s.nextFree = freeHead;
-        freeHead = id;
-        --liveCount;
-    }
-
-    T &operator[](Id id) { return slot(id).obj; }
-    const T &operator[](Id id) const { return slot(id).obj; }
-
-    u64 live() const { return liveCount; }
-    size_t capacity() const { return slabs.size() * SLAB; }
-
-  private:
-    static constexpr Id NO_FREE = ~Id{0};
-
-    struct Slot
-    {
-        T obj{};
-        Id nextFree = NO_FREE;
-    };
-
-    Slot &slot(Id id) { return slabs[id / SLAB][id % SLAB]; }
-    const Slot &slot(Id id) const { return slabs[id / SLAB][id % SLAB]; }
-
-    std::vector<Slot *> slabs;
-    Id freeHead = NO_FREE;
-    u64 liveCount = 0;
 };
 
 /**

@@ -17,17 +17,20 @@ using isa::Target;
 
 namespace {
 
-enum : u8 { TOK_EMPTY = 0, TOK_VALUE = 1, TOK_NULL = 2 };
+// Token and instruction states are enum-typed, not u8: a store through
+// a character type may alias anything, so every token write would make
+// the compiler reload the surrounding state.
+enum TokSt : u8 { TOK_EMPTY = 0, TOK_VALUE = 1, TOK_NULL = 2 };
 
 /** Trace thread row for a core's memory instants (frame slots own
  *  rows 0..numFrames-1). */
 enum : u32 { OBS_TID_MEM = 100 };
-enum : u8 { IS_WAITING = 0, IS_READY = 1, IS_ISSUED = 2, IS_FIRED = 3,
-            IS_DEAD = 4 };
+enum InstSt : u8 { IS_WAITING = 0, IS_READY = 1, IS_ISSUED = 2,
+                   IS_FIRED = 3, IS_DEAD = 4 };
 
 struct Tok
 {
-    u8 st = TOK_EMPTY;
+    TokSt st = TOK_EMPTY;
     u64 v = 0;
 };
 
@@ -38,9 +41,9 @@ struct Tok
 struct InstState
 {
     std::array<u64, 3> v{};
-    std::array<u8, 3> st{};     ///< TOK_* per operand
-    u8 istate = IS_WAITING;
-    u8 dispatched = 0;
+    std::array<TokSt, 3> st{};
+    InstSt istate = IS_WAITING;
+    bool dispatched = false;
 };
 static_assert(sizeof(InstState) == 32);
 
@@ -96,7 +99,10 @@ struct CycleSim::Frame
     std::array<u64, 2> earlyTokens{};
     static_assert(isa::MAX_INSTS <= 128, "earlyTokens is two u64 words");
 
-    std::vector<InstState> is;
+    /** Inline, so a token reaches its instruction's state without
+     *  first loading a buffer pointer; slots past the block's size
+     *  are stale and never read. */
+    std::array<InstState, isa::MAX_INSTS> is;
     std::vector<Tok> writeVals;
     /** LSQ kept insertion-sorted by LSID so loads merge in place.
      *  Small inline buffer: spills stay allocated for the life of the
@@ -125,7 +131,7 @@ struct CycleSim::Frame
 
 struct CycleSim::DtState
 {
-    RingQueue<u32, 64> queue;     ///< packet-pool ids (MemRequest)
+    RingQueue<PacketData, 16> queue;  ///< MemRequest payloads
     Cycle bankFree = 0;
 };
 
@@ -255,6 +261,8 @@ CycleSim::metaFor(u32 block_idx)
         im.numInputs = info.numInputs;
         im.latency = info.latency;
         im.lsid = in.lsid;
+        im.op = in.op;
+        im.imm = in.imm;
         u8 fl = 0;
         if (in.predicated())
             fl |= FL_PREDICATED;
@@ -293,48 +301,68 @@ CycleSim::frameOlder(unsigned a, unsigned b) const
 // Event machinery
 // ---------------------------------------------------------------------
 
-void
-CycleSim::pushEvent(const Event &ev)
+// The per-token helpers below are force-inlined: each runs once per
+// operand token, and as calls they cost more than their bodies.
+
+__attribute__((always_inline)) inline void
+CycleSim::pushEvent(Cycle when, const Event &ev)
 {
     // The wheel requires a completion at least one cycle out; clamp
     // so zero-latency UarchConfig settings degrade to next-cycle
     // completion instead of landing in an already-drained bucket.
-    if (ev.when <= now) {
-        Event next = ev;
-        next.when = now + 1;
-        wheel[next.when & WHEEL_MASK].push_back(next);
-    } else if (ev.when - now < WHEEL_SIZE) {
-        wheel[ev.when & WHEEL_MASK].push_back(ev);
-    } else {
-        overflow.push({ev, ++overflowSeq});
+    if (when <= now)
+        when = now + 1;
+    Event *e;
+    FarEvent far;
+    const unsigned b = static_cast<unsigned>(when & WHEEL_MASK);
+    if (when - now >= WHEEL_SIZE)
+        e = &far.ev;
+    else if (wheelCount[b] < BUCKET_SLOTS)
+        e = &wheel[b][wheelCount[b]++];
+    else
+        e = &wheelSpill[b].emplace_back();
+    // Field by field: callers build @p ev with narrow stores, and a
+    // whole-struct copy would reload it as one wide word, which the
+    // store buffer cannot forward.
+    e->value = ev.value;
+    e->epoch = ev.epoch;
+    e->fidx = ev.fidx;
+    e->inst = ev.inst;
+    e->kind = ev.kind;
+    e->arg = ev.arg;
+    if (e == &far.ev) {
+        far.when = when;
+        far.seq = ++overflowSeq;
+        overflow.push(far);
     }
 }
 
-void
+__attribute__((always_inline)) inline void
 CycleSim::processEvent(const Event &ev)
 {
     Frame &f = frames[ev.fidx];
     if (f.st == Frame::St::Free || f.epoch != ev.epoch)
         return;
     switch (ev.kind) {
-      case 0:
-        finishExecute(ev.fidx, ev.inst, ev.value, ev.isNull);
+      case Event::ExecDone:
+        finishExecute(f, ev.fidx, ev.inst, ev.value,
+                      TokenArg::isNull(ev.arg), false);
         break;
-      case 1:
-        deliverToken(ev.fidx, ev.inst, ev.operand, ev.value, ev.isNull);
+      case Event::TokenDeliver:
+        deliverToken(f, ev.fidx, ev.inst, TokenArg::operand(ev.arg),
+                     ev.value, TokenArg::isNull(ev.arg));
         break;
-      case 2:
+      case Event::GtWriteNote:
         ++f.writesDone;
         break;
-      case 3:
-        if (!(f.storeDoneMask & (1u << ev.lsid))) {
-            f.storeDoneMask |= 1u << ev.lsid;
+      case Event::GtStoreNote:
+        if (!(f.storeDoneMask & (1u << ev.inst))) {
+            f.storeDoneMask |= 1u << ev.inst;
             ++f.storesDone;
         }
         break;
-      case 4:
-        finishExecute(ev.fidx, ev.inst, ev.value, false,
-                      /*is_load_reply=*/true);
+      case Event::LoadReply:
+        finishExecute(f, ev.fidx, ev.inst, ev.value, false, true);
         break;
     }
 }
@@ -347,15 +375,18 @@ CycleSim::drainEvents()
     // ago, every bucket entry less than WHEEL_SIZE cycles ago. Events
     // pushed while draining land at least one cycle ahead, never in
     // this bucket and never due in the heap.
-    while (!overflow.empty() && overflow.top().ev.when <= now) {
+    while (!overflow.empty() && overflow.top().when <= now) {
         const Event ev = overflow.top().ev;
         overflow.pop();
         processEvent(ev);
     }
-    auto &bucket = wheel[now & WHEEL_MASK];
-    for (size_t i = 0; i < bucket.size(); ++i)
-        processEvent(bucket[i]);
-    bucket.clear();
+    const unsigned b = static_cast<unsigned>(now & WHEEL_MASK);
+    for (u32 i = 0; i < wheelCount[b]; ++i)
+        processEvent(wheel[b][i]);
+    for (const Event &ev : wheelSpill[b])
+        processEvent(ev);
+    wheelSpill[b].clear();
+    wheelCount[b] = 0;
 }
 
 // ---------------------------------------------------------------------
@@ -391,7 +422,7 @@ CycleSim::startFetch(u32 block_idx)
     f.bm = &metaFor(block_idx);
     f.im = f.bm->insts.data();
     f.writeMask = f.bm->writeMask;
-    f.is.assign(blk.insts.size(), InstState{});
+    std::fill_n(f.is.begin(), blk.insts.size(), InstState{});
     f.dispatchedCount = 0;
     f.writesNeeded = static_cast<unsigned>(blk.writes.size());
     f.writesDone = 0;
@@ -467,19 +498,19 @@ CycleSim::tickDispatch()
             rtBusy |= static_cast<u8>(1u << bank);
         }
     }
-    unsigned budget = cfg.dispatchPerCycle;
-    while (budget > 0 && dispatchCursor < f.blk->insts.size()) {
-        u16 i = static_cast<u16>(dispatchCursor);
-        f.is[i].dispatched = 1;
-        ++f.dispatchedCount;
-        ++liveInsts;
+    const unsigned fidx = static_cast<unsigned>(fetchingFrame);
+    const unsigned n = static_cast<unsigned>(f.blk->insts.size());
+    const unsigned end = std::min(n, dispatchCursor + cfg.dispatchPerCycle);
+    for (unsigned i = dispatchCursor; i < end; ++i) {
+        f.is[i].dispatched = true;
         const InstMeta &im = f.im[i];
         if (im.numInputs == 0 && !(im.flags & FL_PREDICATED))
-            maybeWake(static_cast<unsigned>(fetchingFrame), i);
-        ++dispatchCursor;
-        --budget;
+            maybeWake(f, fidx, i);
     }
-    if (dispatchCursor >= f.blk->insts.size()) {
+    f.dispatchedCount += end - dispatchCursor;
+    liveInsts += end - dispatchCursor;
+    dispatchCursor = end;
+    if (dispatchCursor >= n) {
         f.st = Frame::St::Executing;
         fetchingFrame = -1;
         fetchReadyAt = now + 1;
@@ -488,8 +519,9 @@ CycleSim::tickDispatch()
         // examined at its last token (or at dispatch if it has none).
         for (unsigned w = 0; w < f.earlyTokens.size(); ++w) {
             for (u64 m = f.earlyTokens[w]; m; m &= m - 1) {
-                maybeWake(frameIndexOf(f),
-                          static_cast<u16>(w * 64 + __builtin_ctzll(m)));
+                maybeWake(f, fidx,
+                          static_cast<unsigned>(w * 64 +
+                                                __builtin_ctzll(m)));
             }
         }
     }
@@ -499,13 +531,12 @@ CycleSim::tickDispatch()
 // Token delivery & wakeup
 // ---------------------------------------------------------------------
 
-void
-CycleSim::deliverToken(unsigned fidx, u16 inst, unsigned operand,
-                       u64 value, bool is_null)
+/** Deliver a token to a live frame @p f (the caller checked its
+ *  epoch) and wake the consumer if that completes its operands. */
+__attribute__((always_inline)) inline void
+CycleSim::deliverToken(Frame &f, unsigned fidx, unsigned inst,
+                       unsigned operand, u64 value, bool is_null)
 {
-    Frame &f = frames[fidx];
-    if (f.st == Frame::St::Free)
-        return;
     InstState &s = f.is[inst];
     TRIPS_ASSERT(s.st[operand] == TOK_EMPTY, "operand received two tokens");
     s.st[operand] = is_null ? TOK_NULL : TOK_VALUE;
@@ -514,13 +545,12 @@ CycleSim::deliverToken(unsigned fidx, u16 inst, unsigned operand,
         f.earlyTokens[inst >> 6] |= u64{1} << (inst & 63);
         return;
     }
-    maybeWake(fidx, inst);
+    maybeWake(f, fidx, inst);
 }
 
-void
-CycleSim::maybeWake(unsigned fidx, u16 inst)
+__attribute__((always_inline)) inline void
+CycleSim::maybeWake(Frame &f, unsigned fidx, unsigned inst)
 {
-    Frame &f = frames[fidx];
     InstState &s = f.is[inst];
     if (!s.dispatched || s.istate != IS_WAITING)
         return;
@@ -539,7 +569,8 @@ CycleSim::maybeWake(unsigned fidx, u16 inst)
             return;
     }
     s.istate = IS_READY;
-    etReady[im.et].push_back({fidx, f.epoch, inst});
+    etReady[im.et].push_back(
+        {f.epoch, static_cast<u8>(fidx), static_cast<u8>(inst)});
     etReadyMask |= 1u << im.et;
 }
 
@@ -592,14 +623,17 @@ CycleSim::tickEts()
 }
 
 void
-CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
+CycleSim::issueInst(unsigned fidx, unsigned inst, unsigned et)
 {
     Frame &f = frames[fidx];
-    const Instruction &in = f.blk->insts[inst];
     const InstMeta &im = f.im[inst];
     InstState &s = f.is[inst];
     s.istate = IS_ISSUED;
     unsigned lat = im.latency;
+    Event ev;
+    ev.epoch = f.epoch;
+    ev.fidx = static_cast<u8>(fidx);
+    ev.inst = static_cast<u8>(inst);
 
     if (im.flags & FL_BRANCH) {
         // Exit packet to the GT.
@@ -609,9 +643,9 @@ CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
         pkt.cls = net::OpnClass::EtGt;
         PacketData pd;
         pd.kind = PacketData::Kind::Branch;
-        pd.fidx = fidx;
+        pd.fidx = static_cast<u8>(fidx);
         pd.epoch = f.epoch;
-        pd.inst = inst;
+        pd.inst = static_cast<u8>(inst);
         queuePacket(pkt, pd);
         s.istate = IS_FIRED;
         ++f.firedCount;
@@ -620,31 +654,28 @@ CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
 
     if (im.flags & FL_MEMORY) {
         bool addr_null = s.st[0] == TOK_NULL;
-        Addr ea = s.v[0] + static_cast<u64>(static_cast<i64>(in.imm));
+        Addr ea = s.v[0] + static_cast<u64>(static_cast<i64>(im.imm));
         if (im.flags & FL_LOAD) {
             if (addr_null) {
                 // Null loads complete locally.
-                Event ev;
-                ev.when = now + lat;
-                ev.kind = 0;
-                ev.fidx = fidx;
-                ev.epoch = f.epoch;
-                ev.inst = inst;
-                ev.isNull = true;
-                pushEvent(ev);
+                ev.kind = Event::ExecDone;
+                ev.arg = TokenArg::make(0, true);
+                pushEvent(now + lat, ev);
                 return;
             }
             // Dependence predictor: wait for older stores?
             u64 key = prog.blockAddr(f.blockIdx) + inst;
-            if (depPred.shouldWait(key) && !olderStoresDone(fidx, inst)) {
+            if (depPred.shouldWait(key) &&
+                !olderStoresDone(fidx, static_cast<u16>(inst))) {
                 // Retry next cycle.
                 s.istate = IS_READY;
-                etReady[et].push_back({fidx, f.epoch, inst});
+                etReady[et].push_back({f.epoch, static_cast<u8>(fidx),
+                                       static_cast<u8>(inst)});
                 etReadyMask |= 1u << et;
                 return;
             }
             depPred.decayTick();
-            sendMemRequest(fidx, inst, false, ea, 0);
+            sendMemRequest(fidx, inst, ea, 0);
             return;
         }
         // Store.
@@ -652,16 +683,12 @@ CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
         bool is_null = addr_null || val_null;
         if (is_null) {
             // Null store: completion token only.
-            Event ev;
-            ev.when = now + cfg.statusLatency;
-            ev.kind = 3;
-            ev.fidx = fidx;
-            ev.epoch = f.epoch;
-            ev.lsid = in.lsid;
-            pushEvent(ev);
+            ev.kind = Event::GtStoreNote;
+            ev.inst = im.lsid;
+            pushEvent(now + cfg.statusLatency, ev);
             LsqEntry le;
-            le.inst = inst;
-            le.lsid = in.lsid;
+            le.inst = static_cast<u16>(inst);
+            le.lsid = im.lsid;
             le.isStore = true;
             le.executed = true;
             le.isNull = true;
@@ -670,7 +697,7 @@ CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
             ++f.firedCount;
             return;
         }
-        sendMemRequest(fidx, inst, true, ea, s.v[1]);
+        sendMemRequest(fidx, inst, ea, s.v[1]);
         return;
     }
 
@@ -679,18 +706,13 @@ CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
     for (unsigned k = 0; k < im.numInputs; ++k)
         any_null |= s.st[k] == TOK_NULL;
     u64 value = 0;
-    bool is_null = any_null || in.op == Opcode::NULLW;
+    bool is_null = any_null || im.op == Opcode::NULLW;
     if (!is_null)
-        value = sim::evalOp(in.op, s.v[0], s.v[1], in.imm);
-    Event ev;
-    ev.when = now + lat;
-    ev.kind = 0;
-    ev.fidx = fidx;
-    ev.epoch = f.epoch;
-    ev.inst = inst;
+        value = sim::evalOp(im.op, s.v[0], s.v[1], im.imm);
+    ev.kind = Event::ExecDone;
     ev.value = value;
-    ev.isNull = is_null;
-    pushEvent(ev);
+    ev.arg = TokenArg::make(0, is_null);
+    pushEvent(now + lat, ev);
 }
 
 bool
@@ -721,8 +743,7 @@ CycleSim::olderStoresDone(unsigned fidx, u16 inst) const
 }
 
 void
-CycleSim::sendMemRequest(unsigned fidx, u16 inst, bool is_store, Addr ea,
-                         u64 value)
+CycleSim::sendMemRequest(unsigned fidx, unsigned inst, Addr ea, u64 value)
 {
     Frame &f = frames[fidx];
     unsigned bank = isa::dtForAddr(ea);
@@ -732,12 +753,10 @@ CycleSim::sendMemRequest(unsigned fidx, u16 inst, bool is_store, Addr ea,
     pkt.cls = net::OpnClass::EtDt;
     PacketData pd;
     pd.kind = PacketData::Kind::MemRequest;
-    pd.fidx = fidx;
+    pd.fidx = static_cast<u8>(fidx);
     pd.epoch = f.epoch;
-    pd.inst = inst;
-    pd.isStoreReq = is_store;
+    pd.inst = static_cast<u8>(inst);
     pd.addr = ea;
-    pd.width = static_cast<u8>(sim::memWidth(f.blk->insts[inst].op));
     pd.value = value;
     queuePacket(pkt, pd);
 }
@@ -746,13 +765,10 @@ CycleSim::sendMemRequest(unsigned fidx, u16 inst, bool is_store, Addr ea,
 // Operand routing
 // ---------------------------------------------------------------------
 
-void
-CycleSim::finishExecute(unsigned fidx, u16 inst, u64 value, bool is_null,
-                        bool is_load_reply)
+__attribute__((always_inline)) inline void
+CycleSim::finishExecute(Frame &f, unsigned fidx, unsigned inst, u64 value,
+                        bool is_null, bool is_load_reply)
 {
-    Frame &f = frames[fidx];
-    if (f.st == Frame::St::Free)
-        return;
     if (f.is[inst].istate != IS_FIRED) {
         f.is[inst].istate = IS_FIRED;
         ++f.firedCount;
@@ -768,57 +784,63 @@ CycleSim::finishExecute(unsigned fidx, u16 inst, u64 value, bool is_null,
         : SrcClasses{net::OpnClass::EtEt, net::OpnClass::EtRt};
     const InstMeta &im = f.im[inst];
     for (unsigned k = 0; k < im.numTargets; ++k)
-        routeOperand(fidx, im.etNode, im.tgt[k], cls, value, is_null);
+        routeOperand(fidx, f.epoch, im.etNode, im.tgt[k], cls, value,
+                     is_null);
 }
 
-void
-CycleSim::routeOperand(unsigned fidx, unsigned src_node,
+__attribute__((always_inline)) inline void
+CycleSim::routeOperand(unsigned fidx, u32 epoch, unsigned src_node,
                        const RouteTarget &t, SrcClasses cls, u64 value,
                        bool is_null)
 {
-    Frame &f = frames[fidx];
     if (t.bypass) {
         // Local bypass within the ET: no network traversal.
         ++res.localBypasses;
         res.opnHops[static_cast<size_t>(cls.operand)].sample(0);
         Event ev;
-        ev.when = now + 1;
-        ev.kind = 1;
-        ev.fidx = fidx;
-        ev.epoch = f.epoch;
+        ev.kind = Event::TokenDeliver;
+        ev.fidx = static_cast<u8>(fidx);
+        ev.epoch = epoch;
         ev.inst = t.index;
-        ev.operand = t.slot;
+        ev.arg = TokenArg::make(t.slot, is_null);
         ev.value = value;
-        ev.isNull = is_null;
-        pushEvent(ev);
+        pushEvent(now + 1, ev);
         return;
     }
     net::OpnPacket pkt;
     pkt.src = static_cast<u8>(src_node);
     pkt.dst = t.dst;
     PacketData pd;
-    pd.fidx = fidx;
-    pd.epoch = f.epoch;
+    pd.fidx = static_cast<u8>(fidx);
+    pd.epoch = epoch;
     pd.value = value;
-    pd.isNull = is_null;
+    pd.inst = t.index;
     if (t.slot == RouteTarget::WRITE_SLOT) {
         pkt.cls = cls.write;
         pd.kind = PacketData::Kind::WriteArrive;
-        pd.writeSlot = t.index;
+        pd.arg = TokenArg::make(0, is_null);
     } else {
         pkt.cls = cls.operand;
         pd.kind = PacketData::Kind::Operand;
-        pd.inst = t.index;
-        pd.operand = t.slot;
+        pd.arg = TokenArg::make(t.slot, is_null);
     }
     queuePacket(pkt, pd);
 }
 
-void
+__attribute__((always_inline)) inline void
 CycleSim::queuePacket(net::OpnPacket pkt, const PacketData &pd)
 {
-    pkt.tag = packetPool.alloc(pd);
-    outbox.push_back(pkt);
+    // Injecting now is what pumpOutbox() would do at the end of this
+    // cycle: nothing else touches the router in between, and with the
+    // outbox empty no older packet goes first (DESIGN.md §13).
+    if (outbox.empty()) {
+        const u16 slot = opn.injectSlot(pkt, now);
+        if (slot != net::OpnNetwork::NO_SLOT) {
+            payload[slot] = pd;
+            return;
+        }
+    }
+    outbox.push_back({pkt, pd});
 }
 
 void
@@ -828,55 +850,50 @@ CycleSim::pumpOutbox()
     // (stable in-place compaction, no O(n^2) middle erases).
     size_t w = 0;
     for (size_t i = 0; i < outbox.size(); ++i) {
-        if (!opn.inject(outbox[i], now))
+        const u16 slot = opn.injectSlot(outbox[i].pkt, now);
+        if (slot != net::OpnNetwork::NO_SLOT)
+            payload[slot] = outbox[i].pd;
+        else
             outbox[w++] = outbox[i];
     }
     outbox.truncate(w);
 }
 
 void
-CycleSim::deliverPacket(const net::OpnPacket &pkt)
+CycleSim::deliverPacket(unsigned slot)
 {
     // Called by the router mid-tick, once per arrival. Nothing here
-    // touches the network: new packets go to the outbox, which is
-    // pumped at the end of the cycle.
-    u32 id = pkt.tag;
-    const PacketData pd = packetPool[id];
+    // touches the network: routing starts at the events and stages
+    // that run after the tick.
+    const PacketData &pd = payload[slot];
     Frame &f = frames[pd.fidx];
-    if (f.st == Frame::St::Free || f.epoch != pd.epoch) {
-        packetPool.free(id);
+    if (f.st == Frame::St::Free || f.epoch != pd.epoch)
         return;  // squashed
-    }
     switch (pd.kind) {
       case PacketData::Kind::Operand:
-        packetPool.free(id);
-        deliverToken(pd.fidx, pd.inst, pd.operand, pd.value, pd.isNull);
+        deliverToken(f, pd.fidx, pd.inst, TokenArg::operand(pd.arg),
+                     pd.value, TokenArg::isNull(pd.arg));
         break;
       case PacketData::Kind::WriteArrive: {
-        packetPool.free(id);
-        auto &slot = f.writeVals[pd.writeSlot];
-        TRIPS_ASSERT(slot.st == TOK_EMPTY,
+        auto &tok = f.writeVals[pd.inst];
+        TRIPS_ASSERT(tok.st == TOK_EMPTY,
                      "write slot received two tokens");
-        slot.st = pd.isNull ? TOK_NULL : TOK_VALUE;
-        slot.v = pd.value;
+        tok.st = TokenArg::isNull(pd.arg) ? TOK_NULL : TOK_VALUE;
+        tok.v = pd.value;
         Event ev;
-        ev.when = now + cfg.statusLatency;
-        ev.kind = 2;
+        ev.kind = Event::GtWriteNote;
         ev.fidx = pd.fidx;
         ev.epoch = pd.epoch;
-        pushEvent(ev);
+        pushEvent(now + cfg.statusLatency, ev);
         break;
       }
       case PacketData::Kind::MemRequest: {
-        // Payload stays in the pool while the request sits in the
-        // data tile's queue; the id is recycled in tickDts().
         unsigned bank = isa::dtForAddr(pd.addr);
-        dts[bank].queue.push_back(id);
+        dts[bank].queue.push_back(pd);
         dtBusy |= static_cast<u8>(1u << bank);
         break;
       }
       case PacketData::Kind::Branch:
-        packetPool.free(id);
         resolveBranch(pd.fidx, pd.inst, f.blk->insts[pd.inst].exit);
         break;
     }
@@ -923,26 +940,25 @@ CycleSim::tickDts()
         auto &dt = dts[bank];
         if (now < dt.bankFree)
             continue;
-        u32 id = dt.queue.front();
+        const PacketData pd = dt.queue.front();
         dt.queue.pop_front();
         if (dt.queue.empty())
             dtBusy &= static_cast<u8>(~(1u << bank));
-        const PacketData pd = packetPool[id];
-        packetPool.free(id);
         Frame &f = frames[pd.fidx];
         if (f.st == Frame::St::Free || f.epoch != pd.epoch)
             continue;
         dt.bankFree = now + cfg.dtServicePeriod;
 
-        const Instruction &in = f.blk->insts[pd.inst];
-        if (pd.isStoreReq) {
+        const InstMeta &im = f.im[pd.inst];
+        const u8 width = static_cast<u8>(sim::memWidth(im.op));
+        if (!(im.flags & FL_LOAD)) {
             LsqEntry le;
             le.inst = pd.inst;
-            le.lsid = in.lsid;
+            le.lsid = im.lsid;
             le.isStore = true;
             le.executed = true;
             le.addr = pd.addr;
-            le.width = pd.width;
+            le.width = width;
             le.value = pd.value;
             le.execTime = now;
             f.lsqInsert(le);
@@ -951,31 +967,29 @@ CycleSim::tickDts()
                 ++f.firedCount;
             }
             Event ev;
-            ev.when = now + cfg.statusLatency;
-            ev.kind = 3;
+            ev.kind = Event::GtStoreNote;
             ev.fidx = pd.fidx;
             ev.epoch = pd.epoch;
-            ev.lsid = in.lsid;
-            pushEvent(ev);
-            checkViolations(pd.fidx, pd.inst, pd.addr, pd.width,
-                            in.lsid);
+            ev.inst = im.lsid;
+            pushEvent(now + cfg.statusLatency, ev);
+            checkViolations(pd.fidx, pd.inst, pd.addr, width, im.lsid);
             continue;
         }
 
         // Load: record, access cache, schedule reply.
         LsqEntry le;
         le.inst = pd.inst;
-        le.lsid = in.lsid;
+        le.lsid = im.lsid;
         le.executed = true;
         le.addr = pd.addr;
-        le.width = pd.width;
+        le.width = width;
         le.execTime = now;
-        u64 value = loadValue(pd.fidx, in.lsid, pd.addr, pd.width);
-        value = sim::extendLoad(in.op, value);
+        u64 value = loadValue(pd.fidx, im.lsid, pd.addr, width);
+        value = sim::extendLoad(im.op, value);
         le.value = value;
         f.lsqInsert(le);
         ++res.loadsExecuted;
-        res.bytesL1 += pd.width;
+        res.bytesL1 += width;
 
         auto r = l1d[bank].access(pd.addr, false);
         if (r.writeback) {
@@ -994,13 +1008,12 @@ CycleSim::tickDts()
                    cfg.l1dHitLatency;
         }
         Event ev;
-        ev.when = done;
-        ev.kind = 4;
+        ev.kind = Event::LoadReply;
         ev.fidx = pd.fidx;
         ev.epoch = pd.epoch;
         ev.inst = pd.inst;
         ev.value = value;
-        pushEvent(ev);
+        pushEvent(done, ev);
     }
 }
 
@@ -1174,19 +1187,14 @@ CycleSim::tickRts()
         const unsigned src = isa::opnNode(isa::rtCoord(bank));
         const SrcClasses cls{net::OpnClass::RtEt, net::OpnClass::EtRt};
         for (unsigned k = 0; k < read.numTargets; ++k)
-            routeOperand(rr.fidx, src, read.tgt[k], cls, value, false);
+            routeOperand(rr.fidx, f.epoch, src, read.tgt[k], cls, value,
+                         false);
     }
 }
 
 // ---------------------------------------------------------------------
 // Branch resolution, flush, commit
 // ---------------------------------------------------------------------
-
-unsigned
-CycleSim::frameIndexOf(Frame &f) const
-{
-    return static_cast<unsigned>(&f - frames.data());
-}
 
 void
 CycleSim::resolveBranch(unsigned fidx, u16 inst, u8 exit)
@@ -1433,7 +1441,9 @@ CycleSim::tickCommit()
 void
 CycleSim::stepCycle()
 {
-    opn.tick(now, [this](const net::OpnPacket &pkt) { deliverPacket(pkt); });
+    opn.tick(now, [this](const net::OpnPacket &, unsigned slot) {
+        deliverPacket(slot);
+    });
     drainEvents();
     tickDts();
     tickRts();

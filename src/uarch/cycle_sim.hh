@@ -22,16 +22,18 @@
  * one shared instance and contend for its banks and OCN links.
  *
  * The per-cycle machinery is allocation-free in steady state: packet
- * payloads live in a SlabPool keyed by dense ids carried as OPN tags,
- * and the router hands each arrival straight to the packet handler.
- * Timed events sit in a bucketed timing wheel (bounded latencies) with
- * a small overflow heap (rare long-latency DRAM replies), and every
- * per-tile queue is a reuse-friendly SmallVec/RingQueue. Event order
- * is fully deterministic: same-cycle events fire in push order. Wheel
- * buckets are FIFO; the overflow heap orders by (when, push sequence);
- * and an overflow event due at cycle W was pushed at least a wheel span
- * before any wheel event for W, so draining due overflow events before
- * the bucket is push order (DESIGN.md §13).
+ * payloads live in a table indexed by the router's flit slot, a packet
+ * enters the router when it is queued (unless older packets still wait
+ * in the outbox), and the router hands each arrival straight to the
+ * packet handler. Timed events sit in a bucketed timing wheel (bounded
+ * latencies) with a small overflow heap (rare long-latency DRAM
+ * replies), and every per-tile queue is a reuse-friendly
+ * SmallVec/RingQueue. Event order is fully deterministic: same-cycle
+ * events fire in push order. Wheel buckets are FIFO; the overflow heap
+ * orders by (when, push sequence); and an overflow event due at cycle
+ * W was pushed at least a wheel span before any wheel event for W, so
+ * draining due overflow events before the bucket is push order
+ * (DESIGN.md §13).
  */
 
 #ifndef TRIPSIM_UARCH_CYCLE_SIM_HH
@@ -182,30 +184,38 @@ class CycleSim
     struct Frame;
     struct DtState;
 
-    /** Payload bound to an in-flight OPN packet (tag = pool id).
-     *  Field order keeps the struct at 32 bytes: the pool is walked on
-     *  every delivery, so density is cache hits. */
+    /** Payload of an OPN packet: kept in `payload` at the packet's
+     *  flit slot while it is in the router, by value in the outbox and
+     *  in a data tile's queue. Frame slots (< 8) and instruction slots
+     *  (< 128) fit a byte each. */
     struct PacketData
     {
         enum class Kind : u8 { Operand, WriteArrive, MemRequest, Branch };
         u64 value = 0;
-        Addr addr = 0;
-        unsigned fidx = 0;
+        Addr addr = 0;      ///< MemRequest only
         u32 epoch = 0;
-        u16 inst = 0;       ///< consumer slot / memory inst / branch inst
+        u8 fidx = 0;
+        /** Consumer slot / write slot / memory inst / branch inst. */
+        u8 inst = 0;
         Kind kind = Kind::Operand;
-        u8 operand = 0;     ///< 0/1/2 for Operand
-        u8 writeSlot = 0;
-        bool isNull = false;
-        bool isStoreReq = false;
-        u8 width = 0;
+        u8 arg = 0;         ///< TokenArg (Operand, WriteArrive)
+    };
+    static_assert(sizeof(PacketData) == 24);
+    static_assert(isa::MAX_INSTS <= 256, "instruction slots fit a u8");
+
+    /** A packet the router refused (its local input FIFO was full),
+     *  retried every cycle in queue order. */
+    struct Outgoing
+    {
+        net::OpnPacket pkt;
+        PacketData pd;
     };
 
     struct ReadyEntry
     {
-        unsigned fidx;
         u32 epoch;
-        u16 inst;
+        u8 fidx;
+        u8 inst;
     };
 
     /** A queued header read. A read that had to wait keeps the older
@@ -222,32 +232,47 @@ class CycleSim
         u32 waitEpoch = 0;
     };
 
-    /** Packed to 32 bytes: wheel buckets copy these by value. */
+    /** A token's operand slot and nullness packed in one byte, so an
+     *  Event fits 16 bytes and a PacketData 24. */
+    struct TokenArg
+    {
+        static constexpr u8 NULL_BIT = 0x80;
+
+        static u8
+        make(unsigned operand, bool is_null)
+        {
+            return static_cast<u8>(operand | (is_null ? NULL_BIT : 0));
+        }
+        static unsigned operand(u8 a) { return a & 3; }
+        static bool isNull(u8 a) { return a & NULL_BIT; }
+    };
+
+    /** A timed event, packed to 16 bytes: wheel buckets copy these by
+     *  value, and the bucket an event sits in is its due cycle. */
     struct Event
     {
-        Cycle when = 0;
+        enum Kind : u8 { ExecDone, TokenDeliver, GtWriteNote, GtStoreNote,
+                         LoadReply };
         u64 value = 0;
-        unsigned fidx = 0;
         u32 epoch = 0;
-        u16 inst = 0;
-        u8 kind = 0;   // 0 ExecDone, 1 TokenDeliver, 2 GtWriteNote,
-                       // 3 GtStoreNote, 4 LoadReply
-        u8 operand = 0;
-        bool isNull = false;
-        u8 lsid = 0;
+        u8 fidx = 0;
+        u8 inst = 0;        ///< instruction slot, or a store note's LSID
+        Kind kind = ExecDone;
+        u8 arg = 0;         ///< TokenArg (ExecDone, TokenDeliver)
     };
-    static_assert(sizeof(Event) == 32);
+    static_assert(sizeof(Event) == 16);
 
     /** Overflow-heap entry: same-cycle entries fire in push order. */
     struct FarEvent
     {
-        Event ev;
+        Cycle when = 0;
         u64 seq = 0;
+        Event ev;
 
         bool operator<(const FarEvent &o) const
         {
-            if (ev.when != o.ev.when)
-                return ev.when > o.ev.when;
+            if (when != o.when)
+                return when > o.when;
             return seq > o.seq;
         }
     };
@@ -273,10 +298,9 @@ class CycleSim
     // Helpers.
     void initCommon();
     void startFetch(u32 block_idx);
-    void issueInst(unsigned fidx, u16 inst, unsigned et);
+    void issueInst(unsigned fidx, unsigned inst, unsigned et);
     bool olderStoresDone(unsigned fidx, u16 inst) const;
-    void sendMemRequest(unsigned fidx, u16 inst, bool is_store, Addr ea,
-                        u64 value);
+    void sendMemRequest(unsigned fidx, unsigned inst, Addr ea, u64 value);
     void resolveBranch(unsigned fidx, u16 inst, u8 exit);
     void tryResolveRets();
     void onNextKnown(unsigned fidx);
@@ -284,20 +308,19 @@ class CycleSim
     void flushFrameAndYounger(unsigned fidx, u32 restart_block);
     void squashFrame(unsigned idx);
     bool frameOlder(unsigned a, unsigned b) const;
-    unsigned frameIndexOf(Frame &f) const;
-    void deliverToken(unsigned fidx, u16 inst, unsigned operand,
-                      u64 value, bool is_null);
-    void maybeWake(unsigned fidx, u16 inst);
-    void finishExecute(unsigned fidx, u16 inst, u64 value,
-                       bool is_null, bool is_load_reply = false);
+    void deliverToken(Frame &f, unsigned fidx, unsigned inst,
+                      unsigned operand, u64 value, bool is_null);
+    void maybeWake(Frame &f, unsigned fidx, unsigned inst);
+    void finishExecute(Frame &f, unsigned fidx, unsigned inst, u64 value,
+                       bool is_null, bool is_load_reply);
     u64 loadValue(unsigned fidx, u8 lsid, Addr addr, u8 width);
     void checkViolations(unsigned fidx, u16 inst, Addr addr, u8 width,
                          u8 lsid);
     Cycle portAccess(Addr addr, bool is_write, unsigned requester_bank,
                      net::OcnClass cls);
     void queuePacket(net::OpnPacket pkt, const PacketData &pd);
-    void deliverPacket(const net::OpnPacket &pkt);
-    void pushEvent(const Event &ev);
+    void deliverPacket(unsigned slot);
+    void pushEvent(Cycle when, const Event &ev);
     void processEvent(const Event &ev);
 
     /**
@@ -322,7 +345,7 @@ class CycleSim
         net::OpnClass operand, write;
     };
 
-    void routeOperand(unsigned fidx, unsigned src_node,
+    void routeOperand(unsigned fidx, u32 epoch, unsigned src_node,
                       const RouteTarget &t, SrcClasses cls, u64 value,
                       bool is_null);
 
@@ -331,6 +354,7 @@ class CycleSim
      * hot: the wake/issue/route paths run every cycle and would
      * otherwise re-read the wide Instruction record, the opcode table,
      * the placement vector and the consumers' placement each time.
+     * Issue and the data tiles read nothing else.
      */
     struct InstMeta
     {
@@ -341,6 +365,8 @@ class CycleSim
         u8 flags = 0;       ///< see FL_* below
         u8 lsid = 0;
         u8 numTargets = 0;  ///< valid entries of tgt, in field order
+        isa::Opcode op = isa::Opcode::MOV;
+        i32 imm = 0;
         RouteTarget tgt[2];
     };
     enum : u8 {
@@ -384,14 +410,21 @@ class CycleSim
     u64 nextSeq = 1;
 
     net::OpnNetwork opn;
-    SlabPool<PacketData> packetPool;
-    SmallVec<net::OpnPacket, 64> outbox;
+    /** Payload of the packet in each router flit slot. */
+    std::array<PacketData, net::OpnNetwork::SLOTS> payload{};
+    /** Refused packets, oldest first; while it holds any, new packets
+     *  queue behind them (DESIGN.md §13). */
+    SmallVec<Outgoing, 16> outbox;
 
     // Event machinery: wheel buckets hold same-cycle events in push
     // order; the overflow heap is ordered by (when, push sequence).
-    // Small inline buckets keep the wheel's working set compact; heavy
-    // buckets spill once and keep their buffer.
-    std::array<SmallVec<Event, 8>, WHEEL_SIZE> wheel;
+    // A bucket is a fixed array of BUCKET_SLOTS events and a count; the
+    // events past BUCKET_SLOTS (rare) follow in that bucket's spill
+    // vector, which keeps its buffer once grown.
+    static constexpr unsigned BUCKET_SLOTS = 8;
+    std::array<std::array<Event, BUCKET_SLOTS>, WHEEL_SIZE> wheel{};
+    std::array<u32, WHEEL_SIZE> wheelCount{};
+    std::array<std::vector<Event>, WHEEL_SIZE> wheelSpill;
     std::priority_queue<FarEvent> overflow;
     u64 overflowSeq = 0;
 

@@ -396,8 +396,13 @@ buildMatmulTiledUnroll(Module &m)
     fb.label("jloop");
     std::vector<Vreg> acc;
     for (unsigned t = 0; t < MM_RT * MM_RT; ++t) {
-        if (t && t % 24 == 0)
-            cut(fb, "z" + std::to_string(t / 24));
+        if (t && t % 24 == 0) {
+            // Appended rather than `"z" + to_string(...)`: GCC 12 at -O3
+            // reports a false -Wrestrict on that form (GCC PR105329).
+            std::string label = "z";
+            label += std::to_string(t / 24);
+            cut(fb, label);
+        }
         acc.push_back(fb.fconst(0.0));
     }
     auto k = fb.iconst(0);

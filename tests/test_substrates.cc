@@ -416,6 +416,32 @@ TEST(MemImage, LittleEndianAndSparse)
     EXPECT_LE(m.residentPages(), 3u);
 }
 
+TEST(MemImage, CrossPageWriteBytesMatchesByteWrites)
+{
+    // Runs that start mid-page, span whole pages, end mid-page, and an
+    // empty run (which must create no page).
+    std::vector<u8> src(3 * MemImage::PAGE_SIZE + 100);
+    for (size_t i = 0; i < src.size(); ++i)
+        src[i] = static_cast<u8>(i * 131 + 7);
+    const std::pair<Addr, size_t> runs[] = {
+        {0x10ff0, 32}, {0x20000 - 5, src.size()}, {0x40000, 0},
+        {0x51000, MemImage::PAGE_SIZE}};
+    MemImage bulk, bytes;
+    for (const auto &[a, n] : runs) {
+        bulk.writeBytes(a, src.data(), n);
+        for (size_t i = 0; i < n; ++i)
+            bytes.write8(a + i, src[i]);
+    }
+    EXPECT_EQ(bulk.residentPages(), bytes.residentPages());
+    EXPECT_EQ(bulk.residentPages(), 8u);
+    for (const auto &[idx, page] : bytes.rawPages()) {
+        const u8 *other = bulk.pageData(idx);
+        ASSERT_NE(other, nullptr) << "page " << idx;
+        EXPECT_EQ(std::memcmp(other, page.data(), page.size()), 0)
+            << "page " << idx;
+    }
+}
+
 TEST(Stats, DistributionAndMeans)
 {
     Distribution d(8);
