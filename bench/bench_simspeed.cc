@@ -11,8 +11,10 @@
 #include "core/machines.hh"
 #include "harness/fuzzgen.hh"
 #include "harness/sweep.hh"
+#include "ideal/ideal.hh"
 #include "net/opn_load.hh"
 #include "obs/obs.hh"
+#include "pred/predictors.hh"
 #include "risc/wirtorisc.hh"
 #include "trips/predecode.hh"
 #include "uarch/chip_sim.hh"
@@ -151,6 +153,94 @@ static void BM_CycleSimPool(benchmark::State &state) {
         cycles ? spent.count() / static_cast<double>(cycles) : 0.0;
 }
 BENCHMARK(BM_CycleSimPool)->Unit(benchmark::kMillisecond);
+
+// Observed FuncSim runs over the programs of perfbench's `observed`
+// pool (compiled preset), with the two observer sets of its rows: the
+// Fig. 7 next-block predictors H and I, then the Fig. 10 ideal
+// machines at 1K/8cy and 128K/0cy. Compiles and global images are made
+// once, outside the timed loop; an iteration copies each image once
+// per observer set. The ns_per_block counter is host time per
+// committed block over the timed loop.
+namespace {
+
+struct ObservedPool {
+    struct Entry {
+        isa::Program prog;
+        MemImage image;
+    };
+    std::vector<Entry> entries;
+
+    ObservedPool() {
+        for (const char *n :
+             {"vadd", "ct", "802.11a", "8b10b", "a2time", "rspeed", "ospf",
+              "routelookup", "conven", "fbital", "fft", "crafty", "twolf",
+              "vortex", "vpr", "mesa", "wupwise"}) {
+            wir::Module mod;
+            workloads::find(n).build(mod);
+            Entry e{compiler::compileToTrips(mod,
+                                             compiler::Options::compiled()),
+                    MemImage{}};
+            wir::Interp::loadGlobals(mod, e.image);
+            entries.push_back(std::move(e));
+        }
+    }
+};
+
+/** Replays committed blocks into a next-block predictor (Fig. 7). */
+class NbpObserver : public sim::BlockObserver {
+  public:
+    explicit NbpObserver(const pred::NextBlockConfig &cfg) : nbp(cfg) {}
+    void onBlockCommit(const isa::Block &b,
+                       const sim::BlockRecord &rec) override {
+        if (rec.halts)
+            return;
+        pred::BranchKind kind =
+            rec.isCall ? pred::BranchKind::Call
+          : rec.isRet ? pred::BranchKind::Ret : pred::BranchKind::Branch;
+        u32 push = rec.isCall
+            ? static_cast<u32>(b.insts[rec.branchInst].returnBlock) : 0;
+        nbp.update(rec.blockIdx, rec.exitTaken, rec.nextBlock, kind,
+                   push);
+    }
+    pred::NextBlockPredictor nbp;
+};
+
+} // namespace
+
+static void BM_ObservedPool(benchmark::State &state) {
+    static const ObservedPool pool;
+    ideal::IdealConfig huge;
+    huge.dispatchCost = 0;
+    huge.windowInsts = 128 * 1024;
+    u64 blocks = 0, sink = 0;
+    auto run = [&](const ObservedPool::Entry &e,
+                   std::initializer_list<sim::BlockObserver *> obs) {
+        MemImage mem = e.image;
+        sim::FuncSim fs(e.prog, mem);
+        for (sim::BlockObserver *o : obs)
+            fs.addObserver(o);
+        blocks += fs.run().stats.blocks;
+    };
+    const auto t0 = std::chrono::steady_clock::now();
+    for (auto _ : state) {
+        for (const ObservedPool::Entry &e : pool.entries) {
+            NbpObserver h(pred::NextBlockConfig::prototype());
+            NbpObserver imp(pred::NextBlockConfig::improved());
+            run(e, {&h, &imp});
+            ideal::IdealSim i1{ideal::IdealConfig{}}, i2{huge};
+            run(e, {&i1, &i2});
+            sink += h.nbp.stats().mispredictions +
+                    imp.nbp.stats().mispredictions +
+                    i1.result().makespan + i2.result().makespan;
+        }
+    }
+    const std::chrono::duration<double, std::nano> spent =
+        std::chrono::steady_clock::now() - t0;
+    benchmark::DoNotOptimize(sink);
+    state.counters["ns_per_block"] =
+        blocks ? spent.count() / static_cast<double>(blocks) : 0.0;
+}
+BENCHMARK(BM_ObservedPool)->Unit(benchmark::kMillisecond);
 
 // The serial/parallel ChipSim pair drives the multicore CI perf gate:
 // same 4-core mix, lockstep reference vs the relaxed-quantum engine.

@@ -87,11 +87,10 @@ IdealSim::onBlockCommit(const Block &block, const BlockRecord &rec)
 
     Cycle block_done = dispatch;
     for (const FiredOp &f : rec.fired) {
-        const isa::OpInfo &info = opInfo(block.insts[f.inst].op);
         Cycle start = std::max({t[f.prodOp0], t[f.prodOp1],
                                 t[f.prodPred]});
-        unsigned lat = info.latency;
-        if (info.cls == isa::OpClass::Load && !f.nullToken) {
+        unsigned lat = f.latency;
+        if (f.cls == isa::OpClass::Load && !f.nullToken) {
             lat = cfg.loadLatency;
             // Perfect dependence prediction: wait only for true
             // conflicts (8-byte chunk granularity).
@@ -103,7 +102,7 @@ IdealSim::onBlockCommit(const Block &block, const BlockRecord &rec)
         }
         const Cycle done = start + lat;
         t[f.inst] = done;
-        if (info.cls == isa::OpClass::Store && !f.nullToken) {
+        if (f.cls == isa::OpClass::Store && !f.nullToken) {
             for (Addr a = f.addr >> 3;
                  a <= (f.addr + f.width - 1) >> 3; ++a)
                 storeReady.set(a, done);

@@ -36,18 +36,29 @@ struct FuncSim::Scratch
     u8 marked[isa::MAX_INSTS];
     u16 mq[isa::MAX_INSTS];
 
-    // One-entry page cache for loads/stores (page buffers are
+    // Direct-mapped page cache for loads/stores, indexed by the low
+    // bits of the page index, so a block that streams a global array
+    // and spills to the stack keeps both pages (page buffers are
     // pointer-stable, see MemImage::pageMutable). Invalidated at run()
     // entry, on restore(), and after a page-crossing store.
-    Addr pageIdx = ~0ull;
-    const u8 *pageR = nullptr;  ///< null: page not resident at lookup
-    u8 *pageW = nullptr;        ///< null: not yet fetched mutable
+    struct PageSlot
+    {
+        Addr idx = ~0ull;
+        const u8 *r = nullptr;  ///< null: page not resident at lookup
+        u8 *w = nullptr;        ///< null: not yet fetched mutable
+    };
+    static constexpr unsigned PAGE_SLOTS = 16;
+    PageSlot pages[PAGE_SLOTS];
+
+    PageSlot &pageSlot(Addr page_idx)
+    {
+        return pages[page_idx & (PAGE_SLOTS - 1)];
+    }
 
     void invalidatePageCache()
     {
-        pageIdx = ~0ull;
-        pageR = nullptr;
-        pageW = nullptr;
+        for (PageSlot &p : pages)
+            p = PageSlot{};
     }
 };
 
@@ -136,9 +147,11 @@ deliveredRef(SrcRef enc, const SrcRef *pool, const u8 *fst)
  * ops that could trap on garbage (integer divides) take a guarded
  * variant.
  *
- * The usefulness/classification pass is memoized per block, keyed on
- * the raw fired/null state bytes, which fully determine it for a fixed
- * block (the write-commit set is itself a function of them).
+ * The walk's outcome is memoized per block, keyed on the raw
+ * fired/null state bytes, which fully determine the completion checks,
+ * the usefulness/classification pass and the ref each write slot
+ * commits for a fixed block. A miss runs memoizeInstance(); hit or
+ * miss, the instance then commits through the memo way.
  */
 FuncSim::FastExit
 FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
@@ -167,8 +180,8 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
     // (TOK_EMPTY when the producer never fired) and leaves the value
     // in @p out. Plain refs are one indexed load; merge slots scan
     // their candidates for the one that fired — two delivering is a
-    // double-delivery panic. Force-inlined: the post-walk merge and
-    // write loops call it per slot and the call overhead shows.
+    // double-delivery panic. Force-inlined: the generic handlers call
+    // it for every operand and the call overhead shows.
     auto resolve = [&](SrcRef enc,
                        u64 &out) __attribute__((always_inline)) -> u8 {
         if (enc < SRC_MERGE) {
@@ -217,15 +230,17 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
         -> u64 {
         const Addr off = ea & (MemImage::PAGE_SIZE - 1);
         if (off + width <= MemImage::PAGE_SIZE) {
-            if ((ea >> MemImage::PAGE_BITS) != s.pageIdx) {
-                s.pageIdx = ea >> MemImage::PAGE_BITS;
-                s.pageR = mem.pageData(s.pageIdx);
-                s.pageW = nullptr;
+            const Addr pg = ea >> MemImage::PAGE_BITS;
+            Scratch::PageSlot &p = s.pageSlot(pg);
+            if (pg != p.idx) {
+                p.idx = pg;
+                p.r = mem.pageData(pg);
+                p.w = nullptr;
             }
             u64 raw = 0;
-            if (s.pageR) {
+            if (p.r) {
                 for (unsigned k = 0; k < width; ++k)
-                    raw |= static_cast<u64>(s.pageR[off + k]) << (8 * k);
+                    raw |= static_cast<u64>(p.r[off + k]) << (8 * k);
             }
             return raw;
         }
@@ -236,17 +251,19 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
                         unsigned width) __attribute__((always_inline)) {
         const Addr off = ea & (MemImage::PAGE_SIZE - 1);
         if (off + width <= MemImage::PAGE_SIZE) {
-            if ((ea >> MemImage::PAGE_BITS) != s.pageIdx || !s.pageW) {
-                s.pageIdx = ea >> MemImage::PAGE_BITS;
-                s.pageW = mem.pageMutable(ea);
-                s.pageR = s.pageW;
+            const Addr pg = ea >> MemImage::PAGE_BITS;
+            Scratch::PageSlot &p = s.pageSlot(pg);
+            if (pg != p.idx || !p.w) {
+                p.idx = pg;
+                p.w = mem.pageMutable(ea);
+                p.r = p.w;
             }
             for (unsigned k = 0; k < width; ++k)
-                s.pageW[off + k] = static_cast<u8>(v >> (8 * k));
+                p.w[off + k] = static_cast<u8>(v >> (8 * k));
         } else {
             mem.write(ea, v, width);
             // A page-crossing write can create a page this cache
-            // recorded as absent (pageR == nullptr); drop the entry so
+            // recorded as absent (r == nullptr); drop every entry so
             // the next fast-path access re-resolves it.
             s.invalidatePageCache();
         }
@@ -444,24 +461,74 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
 #undef DISPATCH
 
   l_done:
-    // Re-resolve every merge slot so a doubly delivered slot panics
-    // even when its consumer never pulled it.
+    // The usefulness marking, the per-class counts, the completion
+    // checks and the value each write slot commits are functions of
+    // the fired/null state bytes for a fixed block, so the raw fst
+    // prefix is the memo key: hash whole words, compare bytes.
+    u64 h = n;
+    for (unsigned c = 0; c < ((n + 7u) >> 3); ++c) {
+        u64 chunk;
+        std::memcpy(&chunk, fst + 8 * c, 8);
+        h = h * 0x9E3779B97F4A7C15ull ^ chunk;
+    }
+    const unsigned way = (h >> 59) & (DecodedBlock::MEMO_WAYS - 1);
+    if (!d.memoValid[way] ||
+        std::memcmp(d.memoFst.data() + static_cast<size_t>(way) * n, fst,
+                    n) != 0)
+        memoizeInstance(bidx, d, way, store_done_mask, fired_branch);
+
+    // Commit: architectural register update, ISA stats and control
+    // transfer. A write fed straight from a header read commits the
+    // injected pre-block value in res, never the register file.
+    const SrcRef *const wref =
+        d.memoWrite.data() + static_cast<size_t>(way) * d.numWrites;
+    for (u16 w = 0; w < d.numWrites; ++w) {
+        if (wref[w] != SRC_NONE_SLOT)
+            regfile[d.writeReg[w]] = res[wref[w]];
+    }
+    ++stats.blocks;
+    stats.fetched += n;
+    stats.readsFetched += d.numReads;
+    applyDelta(stats, d.memoVal[way]);
+
+    const u16 fb = static_cast<u16>(fired_branch);
+    FastExit fx;
+    fx.isCall = insts[fb].op == Opcode::CALLO;
+    fx.isRet = insts[fb].op == Opcode::RET;
+    if (!fx.isRet)
+        fx.nextBlock = static_cast<u32>(d.targetBlock[fb]);
+    fx.returnBlock = d.returnBlock[fb];
+    fx.memoWay = static_cast<u8>(way);
+    return fx;
+}
+
+void
+FuncSim::memoizeInstance(u32 bidx, DecodedBlock &d, unsigned way,
+                         u32 store_done_mask, int fired_branch)
+{
+    Scratch &s = *scratch;
+    const u16 n = d.n;
+    const u8 *const fst = s.fst;
+    const DecInst *const insts = d.insts.data();
+    const SrcRef *const pool = d.mergePool.data();
+
+    // Re-check every merge slot so a doubly delivered slot panics even
+    // when its consumer never pulled it.
     for (SrcRef mref : d.mergeRefs) {
-        u64 dummy;
-        resolve(mref, dummy);
+        const SrcRef *m = pool + (mref & SRC_PAYLOAD);
+        unsigned got = 0;
+        for (SrcRef c = 1; c <= m[0]; ++c)
+            got += fst[m[c]] != TOK_EMPTY;
+        TRIPS_ASSERT(got <= 1, "slot received two tokens in block ", bidx);
     }
 
-    // Header writes: resolve every slot before touching the register
-    // file — a write fed straight from a header read must capture the
-    // pre-commit register value, exactly as read injection does.
-    u64 wVal[isa::MAX_WRITES];
-    u8 wSt[isa::MAX_WRITES];
+    SrcRef *const wref =
+        d.memoWrite.data() + static_cast<size_t>(way) * d.numWrites;
     unsigned writes_done = 0;
     for (u16 w = 0; w < d.numWrites; ++w) {
-        wSt[w] = resolve(d.writeSrc[w], wVal[w]);
-        writes_done += wSt[w] != TOK_EMPTY;
+        wref[w] = deliveredRef(d.writeSrc[w], pool, fst);
+        writes_done += wref[w] != SRC_NONE_SLOT;
     }
-
     const bool stores_complete =
         (store_done_mask & d.storeMask) == d.storeMask;
     if (writes_done != d.numWrites || !stores_complete ||
@@ -473,43 +540,6 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
                     " branch ", fired_branch);
     }
 
-    // Commit: architectural register update and control transfer.
-    const u16 fb = static_cast<u16>(fired_branch);
-    FastExit fx;
-    fx.isCall = insts[fb].op == Opcode::CALLO;
-    fx.isRet = insts[fb].op == Opcode::RET;
-    if (!fx.isRet)
-        fx.nextBlock = static_cast<u32>(d.targetBlock[fb]);
-    fx.returnBlock = d.returnBlock[fb];
-
-    for (u16 w = 0; w < d.numWrites; ++w) {
-        if (wSt[w] == TOK_VALUE)
-            regfile[d.writeReg[w]] = wVal[w];
-    }
-
-    // ---- ISA statistics ----
-    ++stats.blocks;
-    stats.fetched += n;
-    stats.readsFetched += d.numReads;
-
-    // The usefulness marking and per-class counts are a pure function
-    // of the fired/null state bytes for a fixed block (the
-    // write-commit set is itself derived from them), so the raw fst
-    // prefix is the memo key: hash whole words, compare bytes.
-    u64 h = n;
-    for (unsigned c = 0; c < ((n + 7u) >> 3); ++c) {
-        u64 chunk;
-        std::memcpy(&chunk, fst + 8 * c, 8);
-        h = h * 0x9E3779B97F4A7C15ull ^ chunk;
-    }
-    const unsigned way = (h >> 59) & (DecodedBlock::MEMO_WAYS - 1);
-    fx.memoWay = static_cast<u8>(way);
-    u8 *const mslot = d.memoFst.data() + static_cast<size_t>(way) * n;
-    if (d.memoValid[way] && std::memcmp(mslot, fst, n) == 0) {
-        applyDelta(stats, d.memoVal[way]);
-        return fx;
-    }
-
     StatsDelta delta;
     std::memset(s.marked, 0, n);
     u16 mq_top = 0;
@@ -519,19 +549,20 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
             s.mq[mq_top++] = static_cast<u16>(p);
         }
     };
-    // Producer of a slot's delivered token: PROD_NONE when the token
-    // never arrived or came from a header read — marking only follows
+    // Producer of a delivered ref: PROD_NONE when the token never
+    // arrived or came from a header read — marking only follows
     // instruction producers.
-    auto prodOf = [&](SrcRef enc) -> i16 {
-        const SrcRef r = deliveredRef(enc, pool, fst);
+    auto prodOf = [&](SrcRef r) -> i16 {
         return r < n ? static_cast<i16>(r) : PROD_NONE;
     };
-    seed(static_cast<i16>(fb));
+    seed(static_cast<i16>(fired_branch));
     for (u16 w = 0; w < d.numWrites; ++w) {
-        if (wSt[w] == TOK_VALUE) {
-            ++delta.writesCommitted;
-            seed(prodOf(d.writeSrc[w]));
+        if (fst[wref[w]] != TOK_VALUE) {
+            wref[w] = SRC_NONE_SLOT;  // a null write commits nothing
+            continue;
         }
+        ++delta.writesCommitted;
+        seed(prodOf(wref[w]));
     }
     for (u16 i = 0; i < n; ++i) {
         if (fst[i] == TOK_VALUE &&
@@ -541,9 +572,9 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
     while (mq_top) {
         const u16 i = s.mq[--mq_top];
         const DecInst &di = insts[i];
-        seed(prodOf(di.src0));
-        seed(prodOf(di.src1));
-        seed(prodOf(di.srcP));
+        seed(prodOf(deliveredRef(di.src0, pool, fst)));
+        seed(prodOf(deliveredRef(di.src1, pool, fst)));
+        seed(prodOf(deliveredRef(di.srcP, pool, fst)));
     }
 
     for (u16 i = 0; i < n; ++i) {
@@ -586,12 +617,10 @@ FuncSim::executeBlockFast(u32 bidx, DecodedBlock &d)
             ++delta.storesCommitted;
     }
 
-    std::memcpy(mslot, fst, n);
+    std::memcpy(d.memoFst.data() + static_cast<size_t>(way) * n, fst, n);
     d.memoVal[way] = delta;
     d.memoValid[way] = 1;
     d.recValid[way] = 0;
-    applyDelta(stats, delta);
-    return fx;
 }
 
 BlockRecord &
@@ -606,15 +635,10 @@ FuncSim::fillRecord(u32 bidx, DecodedBlock &d, const FastExit &fx)
         d.recValid[fx.memoWay] = 1;
     }
 
-    BlockRecord &rec = workRec;
+    BlockRecord &rec = m.rec;
     rec.blockIdx = bidx;
     rec.isCall = fx.isCall;
     rec.isRet = fx.isRet;
-    rec.branchInst = m.branchInst;
-    rec.exitTaken = m.exitTaken;
-    rec.fired = m.fired;
-    rec.writeProducer = m.writeProducer;
-    rec.writeIsNull = m.writeIsNull;
     for (const RecordMemo::AddrPatch &p : m.addrs)
         rec.fired[p.op].addr = s.res[p.base] + p.imm;
     return rec;
@@ -639,7 +663,8 @@ FuncSim::buildRecordMemo(u32 bidx, const DecodedBlock &d,
         return PROD_NONE;
     };
 
-    m.fired.clear();
+    BlockRecord &rec = m.rec;
+    rec.fired.clear();
     m.addrs.clear();
     for (u16 k = 0; k < n; ++k) {
         if (fst[k] == TOK_EMPTY)
@@ -654,26 +679,28 @@ FuncSim::buildRecordMemo(u32 bidx, const DecodedBlock &d,
         if (di.pred != static_cast<u8>(PredMode::None))
             f.prodPred = producer(delivered(di.srcP));
         f.nullToken = fst[k] == TOK_NULL;
+        f.cls = static_cast<OpClass>(di.cls);
+        f.latency = isa::opInfo(di.op).latency;
         // Memory ops: the address comes from the fired address operand
         // of each instance (null accesses record address 0).
         f.width = di.width;
         if (di.width && !f.nullToken) {
-            m.addrs.push_back({static_cast<u16>(m.fired.size()),
+            m.addrs.push_back({static_cast<u16>(rec.fired.size()),
                                delivered(di.src0),
                                static_cast<u64>(di.imm)});
         }
         if (static_cast<DecKind>(di.kind) == DecKind::Branch) {
-            m.branchInst = f.inst;
-            m.exitTaken = b.insts[f.inst].exit;
+            rec.branchInst = f.inst;
+            rec.exitTaken = b.insts[f.inst].exit;
         }
-        m.fired.push_back(f);
+        rec.fired.push_back(f);
     }
-    m.writeProducer.resize(d.numWrites);
-    m.writeIsNull.resize(d.numWrites);
+    rec.writeProducer.resize(d.numWrites);
+    rec.writeIsNull.resize(d.numWrites);
     for (u16 w = 0; w < d.numWrites; ++w) {
         const SrcRef r = delivered(d.writeSrc[w]);
-        m.writeProducer[w] = producer(r);
-        m.writeIsNull[w] = fst[r] == TOK_NULL;
+        rec.writeProducer[w] = producer(r);
+        rec.writeIsNull[w] = fst[r] == TOK_NULL;
     }
 }
 

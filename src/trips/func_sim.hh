@@ -14,10 +14,11 @@
  * fire schedule and each instance is a single threaded-code walk over
  * it (see predecode.hh). With observers attached, each commit hands
  * them a BlockRecord: fired instructions with operand provenance,
- * memory addresses, exits. All of it but the addresses is a function
- * of the instance's fired/null state bytes, so it is memoized per
- * block in the ways of the stats memo; a hit copies the memoized
- * record and patches in this instance's addresses.
+ * memory addresses, exits. All of it but the addresses, the next
+ * block and the halt flag is a function of the instance's fired/null
+ * state bytes, so one record is kept per block in each way of the
+ * stats memo; each instance patches its own fields into that record
+ * in place and hands it out.
  * The ISA-evaluation stats (paper §4), the next-block predictor study
  * (Fig. 7), and the ideal-machine limit study (Fig. 10) are all
  * consumers of this committed-block stream.
@@ -57,7 +58,10 @@ struct FiredOp
     Addr addr = 0;      ///< effective address (memory ops)
     u8 width = 0;       ///< access bytes (memory ops)
     bool nullToken = false;  ///< produced/propagated a null token
+    isa::OpClass cls = isa::OpClass::IntArith;  ///< opInfo(op).cls
+    u8 latency = 0;     ///< opInfo(op).latency
 };
+static_assert(sizeof(FiredOp) == 24);
 
 /**
  * Dynamic record of one committed block.
@@ -83,7 +87,13 @@ struct BlockRecord
     std::vector<bool> writeIsNull;
 };
 
-/** Callback interface for consumers of the dynamic block stream. */
+/**
+ * Callback interface for consumers of the dynamic block stream.
+ *
+ * The record passed to onBlockCommit() is owned by the simulator and
+ * valid only during the call: it is reused, and rewritten, for later
+ * blocks. An observer that needs it afterwards copies what it needs.
+ */
 class BlockObserver
 {
   public:
@@ -208,21 +218,33 @@ class FuncSim
 
     /**
      * Execute one block instance: one indexed walk over the block's
-     * static fire schedule (see predecode.hh). The walk's result and
-     * state arrays stay in the scratch buffers until the next call.
+     * static fire schedule (see predecode.hh), then one commit through
+     * the stats memo: a miss first runs memoizeInstance(). The walk's
+     * result and state arrays stay in the scratch buffers until the
+     * next call.
      */
     FastExit executeBlockFast(u32 bidx, DecodedBlock &d);
 
     /**
-     * Fill the reused committed-block record of the instance
-     * executeBlockFast() just ran. The record less its addresses is
-     * memoized in the instance's stats-memo way (DecodedBlock::recMemo),
-     * so a hit copies it and patches each non-null memory op's address
-     * from the result array. A way never built, or replaced by the
-     * stats memo since, is first rebuilt with buildRecordMemo() (the
-     * per-instruction walk). The record is owned by the simulator and
-     * reused across blocks, so observed runs allocate nothing per
-     * block in steady state.
+     * Stats-memo miss: check that the instance just walked completed
+     * (no doubly delivered slot, every write and store, one branch),
+     * then fill memo way @p way with its state bytes, its ISA-stat
+     * delta and the ref each write slot commits. All of it depends on
+     * the state bytes alone, so a later hit on the way needs none of
+     * it redone.
+     */
+    void memoizeInstance(u32 bidx, DecodedBlock &d, unsigned way,
+                         u32 store_done_mask, int fired_branch);
+
+    /**
+     * The committed-block record of the instance executeBlockFast()
+     * just ran: the record kept in the instance's stats-memo way
+     * (DecodedBlock::recMemo), with this instance's memory addresses
+     * (each non-null memory op's from the result array), block index
+     * and call/return flags patched in place. A way never built, or
+     * replaced by the stats memo since, is first rebuilt with
+     * buildRecordMemo() (the per-instruction walk). Observed runs
+     * therefore neither allocate nor copy per block in steady state.
      */
     BlockRecord &fillRecord(u32 bidx, DecodedBlock &d, const FastExit &fx);
 
@@ -237,7 +259,6 @@ class FuncSim
     std::vector<BlockObserver *> observers;
     std::unique_ptr<Scratch> scratch;
     std::unique_ptr<DecodedProgram> decoded;
-    BlockRecord workRec;
     IsaStats stats;
 
     // Resumable-execution cursor (see run()/snapshot()/restore()).

@@ -41,7 +41,7 @@ DecodedBlock::bytes() const
     total += writeSrc.size() * sizeof(SrcRef);
     total += (targetBlock.size() + returnBlock.size()) * sizeof(i32);
     total += orig.size() * sizeof(u16);
-    total += memoFst.size();
+    total += memoFst.size() + memoWrite.size() * sizeof(SrcRef);
     return total;
 }
 
@@ -233,6 +233,8 @@ decodeBlock(const Block &b)
     }
 
     d.memoFst.assign(DecodedBlock::MEMO_WAYS * n, 0);
+    d.memoWrite.assign(DecodedBlock::MEMO_WAYS * b.writes.size(),
+                       SRC_NONE_SLOT);
     return d;
 }
 

@@ -31,12 +31,14 @@
  * handler id for the engine's direct-threaded dispatch — instructions
  * proven to always fire get specialized per-opcode handlers with no
  * predicate or arrival checks). The per-instance ISA-stat contribution
- * (usefulness marking + classification) is a pure function of the
+ * (usefulness marking + classification), the completion checks and
+ * the ref each header write commits are pure functions of the
  * fired/null state bytes for a fixed block, and real programs revisit
- * very few distinct patterns per block, so it is memoized in a small
- * set-associative table keyed by those bytes. The same ways hold the
- * observer's committed-block record, less its memory addresses, which
- * is the same kind of function of the same bytes.
+ * very few distinct patterns per block, so they are memoized in a
+ * small set-associative table keyed by those bytes. The same ways hold
+ * the committed-block record observers receive, which is the same kind
+ * of function of the same bytes once its addresses and exit are
+ * patched in.
  *
  * Every validated block decodes: isa::validateBlock rejects the blocks
  * that have no static schedule (a dataflow cycle, a later-LSID memory
@@ -138,7 +140,8 @@ struct StatsDelta
     u32 loadsExecuted = 0, storesCommitted = 0, writesCommitted = 0;
 };
 
-/** A BlockRecord minus its memory addresses (see DecodedBlock::recMemo). */
+/** The committed-block record of one memo way (see
+ *  DecodedBlock::recMemo). */
 struct RecordMemo
 {
     /** One non-null memory op: fired[op].addr = res[base] + imm. */
@@ -149,11 +152,10 @@ struct RecordMemo
         u64 imm;
     };
 
-    u16 branchInst = 0;
-    u8 exitTaken = 0;
-    std::vector<FiredOp> fired;  ///< addresses of memory ops left 0
-    std::vector<i16> writeProducer;
-    std::vector<bool> writeIsNull;
+    /** Handed to observers. Built with the way's pattern; each
+     *  instance patches its addresses, block index, call/return flags,
+     *  next block and halt in place. */
+    BlockRecord rec;
     std::vector<AddrPatch> addrs;
 };
 
@@ -198,22 +200,28 @@ struct DecodedBlock
      * fired/null state bytes (the fst array, which fully determines
      * the marking, the write-commit set, and every per-class count for
      * a fixed block); value = the IsaStats contribution of any
-     * instance with that state. Collisions simply overwrite (the delta
-     * is recomputed if the old pattern returns).
+     * instance with that state, and the ref each write slot commits.
+     * A pattern enters only after passing the completion checks.
+     * Collisions simply overwrite (the way is recomputed if the old
+     * pattern returns).
      */
     static constexpr unsigned MEMO_WAYS = 16;
     std::vector<u8> memoFst;  ///< MEMO_WAYS runs of n state bytes
+    /** MEMO_WAYS runs of numWrites refs: the plain ref whose value each
+     *  write slot commits, or SRC_NONE_SLOT for a null write. */
+    std::vector<SrcRef> memoWrite;
     StatsDelta memoVal[MEMO_WAYS] = {};
     u8 memoValid[MEMO_WAYS] = {};
 
     /**
      * Committed-block record memo, one entry per stats-memo way and
      * keyed by the same state bytes: everything in a BlockRecord but
-     * the memory addresses is a function of them. Built lazily, only
-     * for observed instances (the vector stays empty otherwise). An
-     * entry is valid only while its way still holds the pattern it was
-     * built from, so a stats-memo miss that replaces a way clears
-     * recValid[way], observed or not.
+     * the memory addresses, the next block and the halt flag is a
+     * function of them. Observers receive a reference to the entry.
+     * Built lazily, only for observed instances (the vector stays empty
+     * otherwise). An entry is valid only while its way still holds the
+     * pattern it was built from, so a stats-memo miss that replaces a
+     * way clears recValid[way], observed or not.
      */
     std::vector<RecordMemo> recMemo;
     u8 recValid[MEMO_WAYS] = {};

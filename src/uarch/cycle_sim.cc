@@ -719,14 +719,11 @@ bool
 CycleSim::olderStoresDone(unsigned fidx, u16 inst) const
 {
     const Frame &f = frames[fidx];
-    u8 lsid = f.blk->insts[inst].lsid;
-    // Same frame: all store LSIDs below this load's LSID completed.
-    for (const auto &in : f.blk->insts) {
-        if (!isStore(in.op) || in.lsid >= lsid)
-            continue;
-        if (!(f.storeDoneMask & (1u << in.lsid)))
-            return false;
-    }
+    // Same frame: all store LSIDs below this load's LSID completed
+    // (validateBlock makes storeMask exactly the block's store LSIDs).
+    const u32 older = f.blk->storeMask & ((1u << f.im[inst].lsid) - 1);
+    if (older & ~f.storeDoneMask)
+        return false;
     // Older frames: all their stores completed.
     for (size_t qi = 0; qi < frameQueue.size(); ++qi) {
         unsigned idx = frameQueue[qi];

@@ -11,8 +11,9 @@
  * fire order itself is only promised up to the observer contract).
  * One aggregate digest covers a differential fuzz slice. Also: the
  * record memo under a late observer and a checkpoint restore, the
- * observer contract on generated programs, decodeBlock unit tests, and
- * the decoded-block cache accounting.
+ * observer contract on generated programs, decodeBlock unit tests,
+ * commits through the stats memo, and the decoded-block cache
+ * accounting.
  */
 
 #include <algorithm>
@@ -494,12 +495,12 @@ TEST(PredecodeUnit, UnvalidatedCyclicBlockThrows)
 }
 
 // ---------------------------------------------------------------------
-// Page-cache invalidation: the engine keeps a one-entry page cache,
-// and a page-crossing store falls back to MemImage::write, which can
-// create the very page the cache recorded as absent. Sequence inside a
-// single block: load from a not-yet-resident page (caches pageR ==
-// nullptr), an unaligned store straddling into that page, then a load
-// that must observe the stored bytes, not stale zeros.
+// Page-cache invalidation: the engine keeps a small page cache, and a
+// page-crossing store falls back to MemImage::write, which can create
+// the very page the cache recorded as absent. Sequence inside a single
+// block: load from a not-yet-resident page (caches a null page), an
+// unaligned store straddling into that page, then a load that must
+// observe the stored bytes, not stale zeros.
 // ---------------------------------------------------------------------
 
 TEST(PredecodeUnit, PageCrossingStoreInvalidatesPageCache)
@@ -596,6 +597,116 @@ TEST(PredecodeUnit, StoreAndBranchTargetsCountNoOperandMessages)
     MemImage mem;
     sim::FuncSim fsim(prog, mem);
     EXPECT_EQ(fsim.run().stats.operandMessages, 3u);
+}
+
+// ---------------------------------------------------------------------
+// Memo commit. An instance whose fired/null pattern the stats memo
+// already holds commits through the memo way's per-write-slot refs,
+// without re-running the checks that pattern passed. Each program is
+// one self-looping block run one instance per run(1) slice, every
+// pattern at least twice so later instances commit on a memo hit, and
+// the register file is checked after every instance.
+// ---------------------------------------------------------------------
+
+using isa::Opcode;
+using isa::Target;
+using Kind = isa::Target::Kind;
+
+isa::Instruction
+makeInst(Opcode op, Target t0 = {}, Target t1 = {}, i32 imm = 0,
+         isa::PredMode pr = isa::PredMode::None)
+{
+    isa::Instruction in;
+    in.op = op;
+    in.imm = imm;
+    in.pr = pr;
+    in.targets[0] = t0;
+    in.targets[1] = t1;
+    return in;
+}
+
+/** A block that branches back to itself, as block 0 of a program. */
+isa::Program
+loopProgram(isa::Block b)
+{
+    isa::Instruction bro = makeInst(Opcode::BRO);
+    bro.targetBlock = 0;
+    b.insts.push_back(bro);
+    isa::Program prog;
+    prog.addBlock(std::move(b));
+    EXPECT_EQ("", prog.finalize());
+    return prog;
+}
+
+TEST(MemoCommit, WritesFedByHeaderReadsCommitPreBlockValues)
+{
+    // Write slot 0 (r1) takes the read of r2, write slot 1 (r2) the
+    // read of r1: every instance swaps them. Committing either write
+    // from the register file instead of the injected read value would
+    // see the other write's new value.
+    isa::Block b;
+    b.label = "swap";
+    b.reads.push_back({1, {Target{Kind::Write, 1}, {}}});
+    b.reads.push_back({2, {Target{Kind::Write, 0}, {}}});
+    b.writes.push_back(isa::WriteInst{1});
+    b.writes.push_back(isa::WriteInst{2});
+    const isa::Program prog = loopProgram(std::move(b));
+
+    MemImage mem;
+    sim::FuncSim fsim(prog, mem);
+    const u64 r1 = fsim.regs()[1], r2 = fsim.regs()[2];
+    ASSERT_NE(r1, r2);
+    for (int k = 1; k <= 6; ++k) {
+        ASSERT_TRUE(fsim.run(1).fuelExhausted);
+        EXPECT_EQ(fsim.regs()[1], k % 2 ? r2 : r1) << "instance " << k;
+        EXPECT_EQ(fsim.regs()[2], k % 2 ? r1 : r2) << "instance " << k;
+    }
+    EXPECT_EQ(fsim.run(1).stats.writesCommitted, 14u);
+}
+
+TEST(MemoCommit, PredicatedWriteCommitsValueOrNothing)
+{
+    // r3 counts mod 4 and r4 counts up. While r3 < 2, a MOV on true
+    // writes the old r4 to r5; otherwise a NULLW on false nulls that
+    // write slot and r5 keeps its value. The two patterns alternate in
+    // pairs, so the second instance of each pair commits on a memo hit
+    // whichever memo ways the two patterns map to.
+    isa::Block b;
+    b.label = "predw";
+    b.reads.push_back({3, {Target{Kind::Op0, 0}, Target{Kind::Op0, 4}}});
+    b.reads.push_back({4, {Target{Kind::Op0, 2}, Target{Kind::Op0, 6}}});
+    b.insts.push_back(makeInst(Opcode::TLTI, {Kind::Op0, 1}, {}, 2));
+    b.insts.push_back(
+        makeInst(Opcode::MOV, {Kind::Pred, 2}, {Kind::Pred, 3}));
+    b.insts.push_back(makeInst(Opcode::MOV, {Kind::Write, 2}, {}, 0,
+                               isa::PredMode::OnTrue));
+    b.insts.push_back(makeInst(Opcode::NULLW, {Kind::Write, 2}, {}, 0,
+                               isa::PredMode::OnFalse));
+    b.insts.push_back(makeInst(Opcode::ADDI, {Kind::Op0, 5}, {}, 1));
+    b.insts.push_back(makeInst(Opcode::ANDI, {Kind::Write, 0}, {}, 3));
+    b.insts.push_back(makeInst(Opcode::ADDI, {Kind::Write, 1}, {}, 1));
+    b.writes.push_back(isa::WriteInst{3});
+    b.writes.push_back(isa::WriteInst{4});
+    b.writes.push_back(isa::WriteInst{5});
+    const isa::Program prog = loopProgram(std::move(b));
+
+    MemImage mem;
+    sim::FuncSim fsim(prog, mem);
+    u64 r3 = 0, r4 = 0, r5 = 0, committed = 0;
+    for (int k = 1; k <= 12; ++k) {
+        const bool value = r3 < 2;
+        if (value)
+            r5 = r4;
+        r3 = (r3 + 1) & 3;
+        ++r4;
+        committed += value ? 3 : 2;
+        const auto res = fsim.run(1);
+        ASSERT_TRUE(res.fuelExhausted);
+        EXPECT_EQ(fsim.regs()[3], r3) << "instance " << k;
+        EXPECT_EQ(fsim.regs()[4], r4) << "instance " << k;
+        EXPECT_EQ(fsim.regs()[5], r5) << "instance " << k;
+        EXPECT_EQ(res.stats.writesCommitted, committed) << "instance " << k;
+    }
 }
 
 // ---------------------------------------------------------------------
