@@ -906,12 +906,8 @@ runChipFuzz(const Args &a)
               << " worker(s) in " << wallMs << " ms\n";
     for (const auto &r : bad) {
         std::cout << "DIVERGENCE seeds=(";
-        if (r.chipSeeds.empty()) {
-            std::cout << r.seed << "," << r.seedB;
-        } else {
-            for (size_t i = 0; i < r.chipSeeds.size(); ++i)
-                std::cout << (i ? "," : "") << r.chipSeeds[i];
-        }
+        for (size_t i = 0; i < r.chipSeeds.size(); ++i)
+            std::cout << (i ? "," : "") << r.chipSeeds[i];
         std::cout << ") [" << r.shape.describe() << "]\n  "
                   << r.divergence << "\n  repro: " << r.reproCmd()
                   << "\n";

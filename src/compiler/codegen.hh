@@ -36,6 +36,7 @@
 
 #include "compiler/options.hh"
 #include "isa/program.hh"
+#include "support/fields.hh"
 #include "wir/wir.hh"
 
 namespace trips::compiler {
@@ -73,7 +74,22 @@ struct PassCounters
     u64 nullNodes = 0;   ///< NULLW nodes after the pass
     u64 testNodes = 0;   ///< test nodes after the pass
     u64 addedNodes = 0;  ///< nodes this pass added
+
+    /** Every field in declaration order (support/fields.hh). */
+    template <class Self, class F>
+    static constexpr void
+    forEachField(Self &s, F &&f)
+    {
+        f("tilBlocks", s.tilBlocks);
+        f("tilNodes", s.tilNodes);
+        f("movNodes", s.movNodes);
+        f("nullNodes", s.nullNodes);
+        f("testNodes", s.testNodes);
+        f("addedNodes", s.addedNodes);
+    }
 };
+static_assert(sizeof(PassCounters) == fieldListSize<PassCounters>(),
+              "PassCounters: forEachField must list every field");
 
 /** Aggregate per-compilation statistics (reported by benches/tests). */
 struct CompileStats
@@ -102,7 +118,33 @@ struct CompileStats
     /** Per-pass snapshots from each function's final round,
      *  indexed by PassId and summed across functions. */
     PassCounters pass[NUM_PASSES];
+
+    /** Every field in declaration order (support/fields.hh). */
+    template <class Self, class F>
+    static constexpr void
+    forEachField(Self &s, F &&f)
+    {
+        f("functions", s.functions);
+        f("regions", s.regions);
+        f("blocks", s.blocks);
+        f("totalInsts", s.totalInsts);
+        f("movInsts", s.movInsts);
+        f("nullInsts", s.nullInsts);
+        f("testInsts", s.testInsts);
+        f("splitBlocks", s.splitBlocks);
+        f("spillWrites", s.spillWrites);
+        f("spillReads", s.spillReads);
+        f("overflowRetries", s.overflowRetries);
+        f("spilledValues", s.spilledValues);
+        f("spillSlots", s.spillSlots);
+        f("spillLoads", s.spillLoads);
+        f("spillStores", s.spillStores);
+        f("spillRounds", s.spillRounds);
+        f("pass", s.pass);
+    }
 };
+static_assert(sizeof(CompileStats) == fieldListSize<CompileStats>(),
+              "CompileStats: forEachField must list every field");
 
 /**
  * Compile a WIR module to a TRIPS program. Programs that exceed

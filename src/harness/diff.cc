@@ -7,6 +7,7 @@
 #include "core/machines.hh"
 #include "obs/progress.hh"
 #include "sim/checkpoint.hh"
+#include "support/fields.hh"
 #include "uarch/chip_sim.hh"
 #include "wir/interp.hh"
 
@@ -107,13 +108,9 @@ DiffResult::reproCmd() const
     os << "build/sweep_main " << (chip ? "--chip " : "") << "--repro "
        << seed;
     if (chip) {
-        if (chipSeeds.size() > 2) {
-            os << " --seeds ";
-            for (size_t i = 0; i < chipSeeds.size(); ++i)
-                os << (i ? "," : "") << chipSeeds[i];
-        } else {
-            os << " --seed2 " << seedB;
-        }
+        os << " --seeds ";
+        for (size_t i = 0; i < chipSeeds.size(); ++i)
+            os << (i ? "," : "") << chipSeeds[i];
         if (chipEngine == uarch::ChipEngine::Parallel)
             os << " --parallel --quantum " << chipQuantum;
     }
@@ -219,13 +216,6 @@ diffOne(u64 seed, const ShapeConfig &shape, const DiffOptions &opts)
 }
 
 DiffResult
-diffChipPair(u64 seed_a, u64 seed_b, const ShapeConfig &shape,
-             const DiffOptions &opts)
-{
-    return diffChipMix({seed_a, seed_b}, shape, opts);
-}
-
-DiffResult
 diffChipMix(const std::vector<u64> &seeds, const ShapeConfig &shape,
             const DiffOptions &opts)
 {
@@ -234,7 +224,6 @@ diffChipMix(const std::vector<u64> &seeds, const ShapeConfig &shape,
     res.chip = true;
     res.chipSeeds = seeds;
     res.seed = n > 0 ? seeds[0] : 0;
-    res.seedB = n > 1 ? seeds[1] : 0;
     res.chipEngine = opts.chipEngine;
     res.chipQuantum = opts.chipQuantum;
     res.shape = shape;
@@ -326,33 +315,12 @@ diffChipMix(const std::vector<u64> &seeds, const ShapeConfig &shape,
     }
 
     // The relaxed-quantum engine's determinism pin: an identical
-    // (mix, config, quantum) must replay to the cycle and counter.
+    // (mix, config, quantum) must replay to every field of the
+    // ChipResult.
     if (opts.chipEngine == uarch::ChipEngine::Parallel) {
         std::vector<MemImage> replayMem(n);
-        auto cr2 = runChip(replayMem);
-        std::ostringstream os;
-        if (cr2.cycles != cr.cycles) {
-            os << "parallel replay cycles " << cr2.cycles << " != "
-               << cr.cycles;
-        } else if (cr2.uncore.requests != cr.uncore.requests ||
-                   cr2.uncore.l2Hits != cr.uncore.l2Hits ||
-                   cr2.uncore.bankConflicts != cr.uncore.bankConflicts ||
-                   cr2.uncore.bankConflictCycles !=
-                       cr.uncore.bankConflictCycles ||
-                   cr2.ocn.totalPackets() != cr.ocn.totalPackets() ||
-                   cr2.ocn.flitHops != cr.ocn.flitHops) {
-            os << "parallel replay diverged on uncore statistics";
-        } else {
-            for (size_t c = 0; c < n; ++c) {
-                if (cr2.cores[c].cycles != cr.cores[c].cycles) {
-                    os << "parallel replay core " << c << " cycles "
-                       << cr2.cores[c].cycles << " != "
-                       << cr.cores[c].cycles;
-                    break;
-                }
-            }
-        }
-        if (fail(os.str()))
+        std::string d = fieldDiff(runChip(replayMem), cr);
+        if (!d.empty() && fail("parallel replay " + d))
             return res;
     }
     return res;
@@ -388,12 +356,6 @@ diffCheckpointRestore(const wir::Module &mod, u64 every,
         return res;
     }
 
-    auto isaBytes = [](const sim::IsaStats &s) {
-        sim::ByteWriter w;
-        sim::putIsaStats(w, s);
-        return w.data();
-    };
-
     // A walker functional sim pauses at each boundary and snapshots.
     MemImage walkMem;
     wir::Interp::loadGlobals(mod, walkMem);
@@ -418,9 +380,11 @@ diffCheckpointRestore(const wir::Module &mod, u64 every,
             sim::deserializeCheckpoint(sim::serializeCheckpoint(ck));
         if (rck.nextBlock != ck.nextBlock ||
             rck.blocksExecuted != ck.blocksExecuted ||
-            rck.regfile != ck.regfile || rck.callStack != ck.callStack ||
-            isaBytes(rck.stats) != isaBytes(ck.stats))
+            rck.regfile != ck.regfile || rck.callStack != ck.callStack)
             fail("serialize/deserialize round trip altered state");
+        std::string sd = fieldDiff(rck.stats, ck.stats, "stats");
+        if (!sd.empty())
+            fail("serialize/deserialize round trip altered " + sd);
         std::string md =
             sim::diffMemImages(ck.mem, rck.mem, "round-trip mem");
         if (!md.empty())
@@ -442,8 +406,9 @@ diffCheckpointRestore(const wir::Module &mod, u64 every,
                  std::to_string(rf.blocksExecuted()) +
                  " blocks != straight " +
                  std::to_string(straightFunc.blocksExecuted()));
-        if (isaBytes(rr.stats) != isaBytes(sf.stats))
-            fail("restored functional ISA stats differ from straight");
+        sd = fieldDiff(rr.stats, sf.stats, "stats");
+        if (!sd.empty())
+            fail("restored functional " + sd + " (restored != straight)");
         md = sim::diffMemImages(funcMem, rMem, "restored functional mem");
         if (!md.empty())
             fail(md);
@@ -483,10 +448,7 @@ minimizeDivergence(const DiffResult &bad, const DiffOptions &opts)
         DiffResult cand;
         try {
             cand = bad.chip
-                ? diffChipMix(bad.chipSeeds.empty()
-                                  ? std::vector<u64>{bad.seed, bad.seedB}
-                                  : bad.chipSeeds,
-                              bad.shape.shrunk(step), opts)
+                ? diffChipMix(bad.chipSeeds, bad.shape.shrunk(step), opts)
                 : diffOne(bad.seed, bad.shape.shrunk(step), opts);
         } catch (const TripsError &) {
             // A rung that cannot even run (e.g. the shrunk shape

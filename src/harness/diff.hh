@@ -23,9 +23,9 @@
  * the smallest shape that still reproduces it, so the reproducer
  * pinned in a regression test is as readable as possible.
  *
- * diffChipPair() adds the chip-mode check: two generated programs run
- * concurrently on the dual-core chip, and each core must reproduce
- * its solo single-core run architecturally (retVal + data segment;
+ * diffChipMix() adds the chip-mode check: N generated programs run
+ * concurrently on an N-core chip, and each core must reproduce its
+ * solo single-core run architecturally (retVal + data segment;
  * timing may differ under shared-L2/OCN contention, results may not).
  */
 
@@ -87,7 +87,6 @@ struct DiffResult
 
     // Chip-mode runs place N generated programs on an N-core chip.
     bool chip = false;
-    u64 seedB = 0;            ///< seeds[1] (kept for 2-core repros)
     std::vector<u64> chipSeeds;   ///< one per core, core-id order
     uarch::ChipEngine chipEngine = uarch::ChipEngine::Serial;
     unsigned chipQuantum = 1024;
@@ -105,24 +104,15 @@ DiffResult diffOne(u64 seed, const ShapeConfig &shape = ShapeConfig{},
                    const DiffOptions &opts = DiffOptions{});
 
 /**
- * Chip-mode oracle: generate two programs, run each solo on a
- * single-core CycleSim, then run both concurrently on the dual-core
- * chip. Each chip core must reproduce its solo run's retVal and final
- * data segment byte for byte (the shared uncore is timing interference
- * only); per-core uarch invariants are checked on the chip run too.
- */
-DiffResult diffChipPair(u64 seed_a, u64 seed_b,
-                        const ShapeConfig &shape = ShapeConfig{},
-                        const DiffOptions &opts = DiffOptions{});
-
-/**
- * N-core generalization of diffChipPair: one generated program per
- * seed on a seeds.size()-core chip (1..16), stepped by
- * opts.chipEngine. Every core must reproduce its solo run's retVal,
- * final data segment, and committed-block count. Under the parallel
- * engine the whole chip run is additionally executed twice and the
- * two ChipResults must agree on cycles and every uncore counter (the
- * relaxed-quantum replay determinism pin).
+ * Chip-mode oracle: one generated program per seed, each run solo on
+ * a single-core CycleSim and then all together on a seeds.size()-core
+ * chip (1..16) stepped by opts.chipEngine. Every chip core must
+ * reproduce its solo run's retVal, final data segment (byte for
+ * byte: the shared uncore is timing interference only) and
+ * committed-block count; per-core uarch invariants are checked on the
+ * chip run too. Under the parallel engine the whole chip run is
+ * executed twice and the two ChipResults must agree on every field
+ * (fieldDiff: the relaxed-quantum replay determinism pin).
  */
 DiffResult diffChipMix(const std::vector<u64> &seeds,
                        const ShapeConfig &shape = ShapeConfig{},

@@ -41,6 +41,7 @@
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "net/ocn.hh"
+#include "support/fields.hh"
 
 namespace trips::mem {
 
@@ -104,7 +105,27 @@ struct UncoreStats
     u64 dramRequests = 0, dramRowHits = 0;
     std::vector<u64> requestsByCore;
     std::vector<u64> conflictsByCore;
+
+    /** Every field in declaration order (support/fields.hh). */
+    template <class Self, class F>
+    static constexpr void
+    forEachField(Self &s, F &&f)
+    {
+        f("requests", s.requests);
+        f("l2Hits", s.l2Hits);
+        f("l2Misses", s.l2Misses);
+        f("l2Writebacks", s.l2Writebacks);
+        f("l1Writebacks", s.l1Writebacks);
+        f("bankConflicts", s.bankConflicts);
+        f("bankConflictCycles", s.bankConflictCycles);
+        f("dramRequests", s.dramRequests);
+        f("dramRowHits", s.dramRowHits);
+        f("requestsByCore", s.requestsByCore);
+        f("conflictsByCore", s.conflictsByCore);
+    }
 };
+static_assert(sizeof(UncoreStats) == fieldListSize<UncoreStats>(),
+              "UncoreStats: forEachField must list every field");
 
 /**
  * The request/response port surface a core sees of the uncore. The

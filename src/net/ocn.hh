@@ -31,6 +31,7 @@
 #include <utility>
 
 #include "support/common.hh"
+#include "support/fields.hh"
 #include "support/stats.hh"
 
 namespace trips::net {
@@ -73,7 +74,20 @@ struct OcnStats
             t += p;
         return t;
     }
+
+    /** Every field in declaration order (support/fields.hh). */
+    template <class Self, class F>
+    static constexpr void
+    forEachField(Self &s, F &&f)
+    {
+        f("packets", s.packets);
+        f("bytes", s.bytes);
+        f("hops", s.hops);
+        f("flitHops", s.flitHops);
+    }
 };
+static_assert(sizeof(OcnStats) == fieldListSize<OcnStats>(),
+              "OcnStats: forEachField must list every field");
 
 class OcnModel
 {

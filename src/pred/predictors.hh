@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "support/common.hh"
+#include "support/fields.hh"
 
 namespace trips::pred {
 
@@ -153,7 +154,21 @@ struct NextBlockStats
         return predictions
             ? static_cast<double>(mispredictions) / predictions : 0.0;
     }
+
+    /** Every field in declaration order (support/fields.hh). */
+    template <class Self, class F>
+    static constexpr void
+    forEachField(Self &s, F &&f)
+    {
+        f("predictions", s.predictions);
+        f("mispredictions", s.mispredictions);
+        f("exitMispredicts", s.exitMispredicts);
+        f("targetMispredicts", s.targetMispredicts);
+        f("callRetMispredicts", s.callRetMispredicts);
+    }
 };
+static_assert(sizeof(NextBlockStats) == fieldListSize<NextBlockStats>(),
+              "NextBlockStats: forEachField must list every field");
 
 class NextBlockPredictor
 {

@@ -122,184 +122,9 @@ putUarchConfig(ByteWriter &w, const uarch::UarchConfig &c)
 }
 
 // ---------------------------------------------------------------------
-// TripsRun record serialization.
+// TripsRun record serialization. The nested records are written from
+// their field lists (sim/serial.hh putFields/getFields).
 // ---------------------------------------------------------------------
-
-void
-putCompileStats(ByteWriter &w, const compiler::CompileStats &s)
-{
-    w.u32v(s.functions);
-    w.u32v(s.regions);
-    w.u32v(s.blocks);
-    w.u64v(s.totalInsts);
-    w.u64v(s.movInsts);
-    w.u64v(s.nullInsts);
-    w.u64v(s.testInsts);
-    w.u32v(s.splitBlocks);
-    w.u64v(s.spillWrites);
-    w.u64v(s.spillReads);
-    w.u32v(s.overflowRetries);
-    w.u32v(s.spilledValues);
-    w.u32v(s.spillSlots);
-    w.u64v(s.spillLoads);
-    w.u64v(s.spillStores);
-    w.u32v(s.spillRounds);
-    w.u32v(compiler::NUM_PASSES);
-    for (const auto &pc : s.pass) {
-        w.u64v(pc.tilBlocks);
-        w.u64v(pc.tilNodes);
-        w.u64v(pc.movNodes);
-        w.u64v(pc.nullNodes);
-        w.u64v(pc.testNodes);
-        w.u64v(pc.addedNodes);
-    }
-}
-
-compiler::CompileStats
-getCompileStats(ByteReader &r)
-{
-    compiler::CompileStats s;
-    s.functions = r.u32v();
-    s.regions = r.u32v();
-    s.blocks = r.u32v();
-    s.totalInsts = r.u64v();
-    s.movInsts = r.u64v();
-    s.nullInsts = r.u64v();
-    s.testInsts = r.u64v();
-    s.splitBlocks = r.u32v();
-    s.spillWrites = r.u64v();
-    s.spillReads = r.u64v();
-    s.overflowRetries = r.u32v();
-    s.spilledValues = r.u32v();
-    s.spillSlots = r.u32v();
-    s.spillLoads = r.u64v();
-    s.spillStores = r.u64v();
-    s.spillRounds = r.u32v();
-    u32 passes = r.u32v();
-    if (passes != compiler::NUM_PASSES)
-        r.failParse(std::to_string(passes) + " compiler passes, this "
-                    "build has " + std::to_string(compiler::NUM_PASSES));
-    for (auto &pc : s.pass) {
-        pc.tilBlocks = r.u64v();
-        pc.tilNodes = r.u64v();
-        pc.movNodes = r.u64v();
-        pc.nullNodes = r.u64v();
-        pc.testNodes = r.u64v();
-        pc.addedNodes = r.u64v();
-    }
-    return s;
-}
-
-void
-putDistribution(ByteWriter &w, const Distribution &d)
-{
-    w.u32v(d.numBuckets());
-    for (unsigned b = 0; b < d.numBuckets(); ++b)
-        w.u64v(d.count(b));
-    w.u64v(d.weightedSum());
-}
-
-Distribution
-getDistribution(ByteReader &r)
-{
-    u32 n = r.u32v();
-    std::vector<u64> counts(n);
-    for (auto &c : counts)
-        c = r.u64v();
-    u64 weighted = r.u64v();
-    Distribution d(n);
-    d.restoreRaw(std::move(counts), weighted);
-    return d;
-}
-
-void
-putUarchResult(ByteWriter &w, const uarch::UarchResult &u)
-{
-    w.i64v(u.retVal);
-    w.u8v(u.fuelExhausted);
-    w.u64v(u.cycles);
-    w.u64v(u.blocksCommitted);
-    w.u64v(u.blocksFlushed);
-    w.u64v(u.instsFetched);
-    w.u64v(u.instsFired);
-    w.u64v(u.branchMispredicts);
-    w.u64v(u.callRetMispredicts);
-    w.u64v(u.loadViolationFlushes);
-    w.u64v(u.icacheMissStalls);
-    w.u64v(u.l1dHits);
-    w.u64v(u.l1dMisses);
-    w.u64v(u.l1iHits);
-    w.u64v(u.l1iMisses);
-    w.u64v(u.l2Hits);
-    w.u64v(u.l2Misses);
-    w.u64v(u.l1dWritebacks);
-    w.u64v(u.l2Writebacks);
-    w.u64v(u.loadsExecuted);
-    w.u64v(u.storesCommitted);
-    w.u64v(u.bytesL1);
-    w.u64v(u.bytesL2);
-    w.u64v(u.bytesMem);
-    w.f64v(u.avgBlocksInFlight);
-    w.f64v(u.avgInstsInFlight);
-    w.u64v(u.peakInstsInFlight);
-    w.u64v(u.predictor.predictions);
-    w.u64v(u.predictor.mispredictions);
-    w.u64v(u.predictor.exitMispredicts);
-    w.u64v(u.predictor.targetMispredicts);
-    w.u64v(u.predictor.callRetMispredicts);
-    w.u32v(static_cast<u32>(u.opnHops.size()));
-    for (const auto &d : u.opnHops)
-        putDistribution(w, d);
-    w.u64v(u.opnPackets);
-    w.u64v(u.localBypasses);
-}
-
-uarch::UarchResult
-getUarchResult(ByteReader &r)
-{
-    uarch::UarchResult u;
-    u.retVal = r.i64v();
-    u.fuelExhausted = r.u8v();
-    u.cycles = r.u64v();
-    u.blocksCommitted = r.u64v();
-    u.blocksFlushed = r.u64v();
-    u.instsFetched = r.u64v();
-    u.instsFired = r.u64v();
-    u.branchMispredicts = r.u64v();
-    u.callRetMispredicts = r.u64v();
-    u.loadViolationFlushes = r.u64v();
-    u.icacheMissStalls = r.u64v();
-    u.l1dHits = r.u64v();
-    u.l1dMisses = r.u64v();
-    u.l1iHits = r.u64v();
-    u.l1iMisses = r.u64v();
-    u.l2Hits = r.u64v();
-    u.l2Misses = r.u64v();
-    u.l1dWritebacks = r.u64v();
-    u.l2Writebacks = r.u64v();
-    u.loadsExecuted = r.u64v();
-    u.storesCommitted = r.u64v();
-    u.bytesL1 = r.u64v();
-    u.bytesL2 = r.u64v();
-    u.bytesMem = r.u64v();
-    u.avgBlocksInFlight = r.f64v();
-    u.avgInstsInFlight = r.f64v();
-    u.peakInstsInFlight = r.u64v();
-    u.predictor.predictions = r.u64v();
-    u.predictor.mispredictions = r.u64v();
-    u.predictor.exitMispredicts = r.u64v();
-    u.predictor.targetMispredicts = r.u64v();
-    u.predictor.callRetMispredicts = r.u64v();
-    u32 dists = r.u32v();
-    if (dists != u.opnHops.size())
-        r.failParse(std::to_string(dists) + " OPN classes, this build "
-                    "has " + std::to_string(u.opnHops.size()));
-    for (auto &d : u.opnHops)
-        d = getDistribution(r);
-    u.opnPackets = r.u64v();
-    u.localBypasses = r.u64v();
-    return u;
-}
 
 std::vector<u8>
 serializeRun(const CacheKey &key, const core::TripsRun &run)
@@ -313,10 +138,10 @@ serializeRun(const CacheKey &key, const core::TripsRun &run)
     w.u8v(run.funcFuelExhausted);
     w.u8v(run.cycleLevel);
     w.u64v(run.codeBytes);
-    putIsaStats(w, run.isa);
-    putCompileStats(w, run.compile);
+    putFields(w, run.isa);
+    putFields(w, run.compile);
     if (run.cycleLevel)
-        putUarchResult(w, run.uarch);
+        putFields(w, run.uarch);
     w.sealCrc();
     return w.data();
 }
@@ -413,10 +238,10 @@ CampaignCache::lookup(const CacheKey &key, core::TripsRun &out)
         run.funcFuelExhausted = r.u8v();
         run.cycleLevel = r.u8v();
         run.codeBytes = r.u64v();
-        run.isa = getIsaStats(r);
-        run.compile = getCompileStats(r);
+        getFields(r, run.isa);
+        getFields(r, run.compile);
         if (run.cycleLevel)
-            run.uarch = getUarchResult(r);
+            getFields(r, run.uarch);
         r.expectEnd();
         out = std::move(run);
     } catch (const SerialError &e) {

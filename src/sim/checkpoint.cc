@@ -7,50 +7,6 @@
 namespace trips::sim {
 
 void
-putIsaStats(ByteWriter &w, const IsaStats &s)
-{
-    w.u64v(s.blocks);
-    w.u64v(s.fetched);
-    w.u64v(s.fired);
-    w.u64v(s.useful);
-    w.u64v(s.moves);
-    w.u64v(s.fetchedNotExecuted);
-    w.u64v(s.executedNotUsed);
-    w.u64v(s.usefulArith);
-    w.u64v(s.usefulMemory);
-    w.u64v(s.usefulControl);
-    w.u64v(s.usefulTests);
-    w.u64v(s.readsFetched);
-    w.u64v(s.writesCommitted);
-    w.u64v(s.loadsExecuted);
-    w.u64v(s.storesCommitted);
-    w.u64v(s.operandMessages);
-}
-
-IsaStats
-getIsaStats(ByteReader &r)
-{
-    IsaStats s;
-    s.blocks = r.u64v();
-    s.fetched = r.u64v();
-    s.fired = r.u64v();
-    s.useful = r.u64v();
-    s.moves = r.u64v();
-    s.fetchedNotExecuted = r.u64v();
-    s.executedNotUsed = r.u64v();
-    s.usefulArith = r.u64v();
-    s.usefulMemory = r.u64v();
-    s.usefulControl = r.u64v();
-    s.usefulTests = r.u64v();
-    s.readsFetched = r.u64v();
-    s.writesCommitted = r.u64v();
-    s.loadsExecuted = r.u64v();
-    s.storesCommitted = r.u64v();
-    s.operandMessages = r.u64v();
-    return s;
-}
-
-void
 putMemImage(ByteWriter &w, const MemImage &m)
 {
     std::vector<Addr> idxs;
@@ -95,7 +51,7 @@ serializeCheckpoint(const Checkpoint &ck)
     w.u64v(ck.callStack.size());
     for (u32 ret : ck.callStack)
         w.u32v(ret);
-    putIsaStats(w, ck.stats);
+    putFields(w, ck.stats);
     putMemImage(w, ck.mem);
     w.sealCrc();
     return w.data();
@@ -140,7 +96,7 @@ deserializeCheckpoint(const u8 *data, size_t n)
     ck.callStack.resize(depth);
     for (auto &ret : ck.callStack)
         ret = r.u32v();
-    ck.stats = getIsaStats(r);
+    getFields(r, ck.stats);
     ck.mem = getMemImage(r);
     r.expectEnd();
     return ck;

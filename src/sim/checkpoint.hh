@@ -72,9 +72,7 @@ void saveCheckpoint(const std::string &path, const Checkpoint &ck);
  *  or invalid. */
 Checkpoint loadCheckpoint(const std::string &path);
 
-// Field-level helpers shared with the campaign cache's record format.
-void putIsaStats(ByteWriter &w, const IsaStats &s);
-IsaStats getIsaStats(ByteReader &r);
+// Memory-image helpers (pages sorted by index).
 void putMemImage(ByteWriter &w, const MemImage &m);
 MemImage getMemImage(ByteReader &r);
 

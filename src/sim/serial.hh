@@ -16,11 +16,15 @@
 #define TRIPSIM_SIM_SERIAL_HH
 
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "support/common.hh"
 #include "support/error.hh"
+#include "support/fields.hh"
+#include "support/stats.hh"
 
 namespace trips::sim {
 
@@ -231,6 +235,82 @@ class ByteReader
     const u8 *end;
     const char *what;
 };
+
+/**
+ * Append @p v in the record format: a record with a field list
+ * (support/fields.hh) field by field in list order, bool as u8,
+ * unsigned as u32, u64/i64 as 8 bytes, a double as its 8 bit-pattern
+ * bytes, a Distribution as bucket count, bucket counts and weighted
+ * sum, a fixed array (std::array or C array) as u32 length then its
+ * elements.
+ */
+template <class T>
+void
+putFields(ByteWriter &w, const T &v)
+{
+    if constexpr (FieldRecord<T>) {
+        T::forEachField(v, [&w](const char *, const auto &m) {
+            putFields(w, m);
+        });
+    } else if constexpr (std::is_same_v<T, Distribution>) {
+        w.u32v(v.numBuckets());
+        for (unsigned b = 0; b < v.numBuckets(); ++b)
+            w.u64v(v.count(b));
+        // Clamped samples make the weighted sum unrecoverable from the
+        // buckets alone, so it round-trips explicitly.
+        w.u64v(v.weightedSum());
+    } else if constexpr (std::is_same_v<T, bool>) {
+        w.u8v(v);
+    } else if constexpr (std::is_same_v<T, unsigned>) {
+        w.u32v(v);
+    } else if constexpr (std::is_same_v<T, u64> || std::is_same_v<T, i64>) {
+        w.u64v(static_cast<u64>(v));
+    } else if constexpr (std::is_same_v<T, double>) {
+        w.f64v(v);
+    } else {
+        w.u32v(static_cast<u32>(std::size(v)));
+        for (const auto &e : v)
+            putFields(w, e);
+    }
+}
+
+/** Read @p v as putFields wrote it. Throws SerialError on truncation
+ *  and on a fixed array whose length is not this build's. */
+template <class T>
+void
+getFields(ByteReader &r, T &v)
+{
+    if constexpr (FieldRecord<T>) {
+        T::forEachField(v, [&r](const char *, auto &m) { getFields(r, m); });
+    } else if constexpr (std::is_same_v<T, Distribution>) {
+        u32 n = r.u32v();
+        // Bound the allocation by what the record can still hold.
+        if (n > r.remaining() / 8)
+            r.failParse(std::to_string(n) + " buckets overrun the record",
+                        ErrCode::Truncated);
+        std::vector<u64> counts(n);
+        for (u64 &c : counts)
+            c = r.u64v();
+        u64 weighted = r.u64v();
+        v.restoreRaw(std::move(counts), weighted);
+    } else if constexpr (std::is_same_v<T, bool>) {
+        v = r.u8v();
+    } else if constexpr (std::is_same_v<T, unsigned>) {
+        v = r.u32v();
+    } else if constexpr (std::is_same_v<T, u64> || std::is_same_v<T, i64>) {
+        v = static_cast<T>(r.u64v());
+    } else if constexpr (std::is_same_v<T, double>) {
+        v = r.f64v();
+    } else {
+        u32 n = r.u32v();
+        if (n != std::size(v))
+            r.failParse("array of " + std::to_string(n) +
+                        " elements, this build has " +
+                        std::to_string(std::size(v)));
+        for (auto &e : v)
+            getFields(r, e);
+    }
+}
 
 /** 128-bit FNV-1a content hash, fed through the ByteWriter field
  *  helpers so key material serializes exactly like file payloads. */

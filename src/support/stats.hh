@@ -38,7 +38,7 @@ class Counter
 class Distribution
 {
   public:
-    explicit Distribution(unsigned num_buckets = 16)
+    explicit constexpr Distribution(unsigned num_buckets = 16)
         : buckets(num_buckets, 0)
     {}
 

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "isa/program.hh"
+#include "support/fields.hh"
 #include "support/memimage.hh"
 #include "support/stats.hh"
 
@@ -128,7 +129,32 @@ struct IsaStats
     {
         return blocks ? static_cast<double>(fetched) / blocks : 0.0;
     }
+
+    /** Every field in declaration order (support/fields.hh). */
+    template <class Self, class F>
+    static constexpr void
+    forEachField(Self &s, F &&f)
+    {
+        f("blocks", s.blocks);
+        f("fetched", s.fetched);
+        f("fired", s.fired);
+        f("useful", s.useful);
+        f("moves", s.moves);
+        f("fetchedNotExecuted", s.fetchedNotExecuted);
+        f("executedNotUsed", s.executedNotUsed);
+        f("usefulArith", s.usefulArith);
+        f("usefulMemory", s.usefulMemory);
+        f("usefulControl", s.usefulControl);
+        f("usefulTests", s.usefulTests);
+        f("readsFetched", s.readsFetched);
+        f("writesCommitted", s.writesCommitted);
+        f("loadsExecuted", s.loadsExecuted);
+        f("storesCommitted", s.storesCommitted);
+        f("operandMessages", s.operandMessages);
+    }
 };
+static_assert(sizeof(IsaStats) == fieldListSize<IsaStats>(),
+              "IsaStats: forEachField must list every field");
 
 /** Result of running a whole program. */
 struct FuncResult

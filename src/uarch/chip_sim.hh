@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "mem/memsys.hh"
+#include "support/fields.hh"
 #include "uarch/cycle_sim.hh"
 
 namespace trips::obs {
@@ -61,7 +62,23 @@ struct ChipResult
     net::OcnStats ocn;          ///< per-class packets/bytes/hops
     double ocnOccupancy = 0;    ///< mean flit-hops per link-cycle
     u64 l2DirtyDrained = 0;     ///< dirty L2 lines swept at end of run
+
+    /** Every field in declaration order (support/fields.hh). */
+    template <class Self, class F>
+    static constexpr void
+    forEachField(Self &s, F &&f)
+    {
+        f("cores", s.cores);
+        f("cycles", s.cycles);
+        f("anyFuelExhausted", s.anyFuelExhausted);
+        f("uncore", s.uncore);
+        f("ocn", s.ocn);
+        f("ocnOccupancy", s.ocnOccupancy);
+        f("l2DirtyDrained", s.l2DirtyDrained);
+    }
 };
+static_assert(sizeof(ChipResult) == fieldListSize<ChipResult>(),
+              "ChipResult: forEachField must list every field");
 
 class QuantumEngine;
 

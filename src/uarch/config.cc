@@ -115,8 +115,6 @@ mem::MemorySystemConfig
 ChipConfig::uncore() const
 {
     mem::MemorySystemConfig m = uncoreConfig(core, numCores);
-    if (ocnHopLatency != 0)
-        m.ocn.hopLatency = ocnHopLatency;
     m.bankServicePeriod = bankServicePeriod;
     m.physStride = physStride;
     m.physAddrBits = physAddrBits;

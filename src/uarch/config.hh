@@ -118,7 +118,6 @@ struct ChipConfig
     unsigned numCores = 2;
 
     // Uncore knobs layered over uncoreConfig(core, numCores).
-    unsigned ocnHopLatency = 0;   ///< 0 = derive from core.l2NucaStep
     unsigned bankServicePeriod = 1;
     /** Per-core physical offset; see MemorySystemConfig::physStride. */
     Addr physStride = Addr{1} << 30;

@@ -50,6 +50,7 @@
 #include "mem/memsys.hh"
 #include "net/opn.hh"
 #include "pred/predictors.hh"
+#include "support/fields.hh"
 #include "support/memimage.hh"
 #include "support/pool.hh"
 #include "uarch/config.hh"
@@ -111,7 +112,47 @@ struct UarchResult
     {
         return cycles ? static_cast<double>(instsFired) / cycles : 0;
     }
+
+    /** Every field in declaration order (support/fields.hh). */
+    template <class Self, class F>
+    static constexpr void
+    forEachField(Self &s, F &&f)
+    {
+        f("retVal", s.retVal);
+        f("fuelExhausted", s.fuelExhausted);
+        f("cycles", s.cycles);
+        f("blocksCommitted", s.blocksCommitted);
+        f("blocksFlushed", s.blocksFlushed);
+        f("instsFetched", s.instsFetched);
+        f("instsFired", s.instsFired);
+        f("branchMispredicts", s.branchMispredicts);
+        f("callRetMispredicts", s.callRetMispredicts);
+        f("loadViolationFlushes", s.loadViolationFlushes);
+        f("icacheMissStalls", s.icacheMissStalls);
+        f("l1dHits", s.l1dHits);
+        f("l1dMisses", s.l1dMisses);
+        f("l1iHits", s.l1iHits);
+        f("l1iMisses", s.l1iMisses);
+        f("l2Hits", s.l2Hits);
+        f("l2Misses", s.l2Misses);
+        f("l1dWritebacks", s.l1dWritebacks);
+        f("l2Writebacks", s.l2Writebacks);
+        f("loadsExecuted", s.loadsExecuted);
+        f("storesCommitted", s.storesCommitted);
+        f("bytesL1", s.bytesL1);
+        f("bytesL2", s.bytesL2);
+        f("bytesMem", s.bytesMem);
+        f("avgBlocksInFlight", s.avgBlocksInFlight);
+        f("avgInstsInFlight", s.avgInstsInFlight);
+        f("peakInstsInFlight", s.peakInstsInFlight);
+        f("predictor", s.predictor);
+        f("opnHops", s.opnHops);
+        f("opnPackets", s.opnPackets);
+        f("localBypasses", s.localBypasses);
+    }
 };
+static_assert(sizeof(UarchResult) == fieldListSize<UarchResult>(),
+              "UarchResult: forEachField must list every field");
 
 class CycleSim
 {

@@ -19,6 +19,7 @@
 #include "sim/campaign.hh"
 #include "sim/checkpoint.hh"
 #include "sim/sampling.hh"
+#include "support/fields.hh"
 #include "uarch/chip_sim.hh"
 #include "wir/interp.hh"
 
@@ -53,14 +54,6 @@ checkpointAfter(const char *name, u64 blocks)
     return ck;
 }
 
-std::vector<u8>
-isaBytes(const sim::IsaStats &s)
-{
-    sim::ByteWriter w;
-    sim::putIsaStats(w, s);
-    return w.data();
-}
-
 /** Re-seal a tampered checkpoint image so only the targeted field is
  *  invalid (the CRC stays correct). */
 std::vector<u8>
@@ -89,11 +82,42 @@ TEST(Checkpoint, SerializeDeserializeRoundTripIsExact)
     EXPECT_EQ(rt.blocksExecuted, ck.blocksExecuted);
     EXPECT_EQ(rt.regfile, ck.regfile);
     EXPECT_EQ(rt.callStack, ck.callStack);
-    EXPECT_EQ(isaBytes(rt.stats), isaBytes(ck.stats));
+    EXPECT_EQ(fieldDiff(rt.stats, ck.stats), "");
     EXPECT_EQ(sim::diffMemImages(rt.mem, ck.mem), "");
 
     // Deterministic format: same state, same bytes.
     EXPECT_EQ(sim::serializeCheckpoint(rt), bytes);
+}
+
+// The cache entry and checkpoint byte formats are pinned: both are
+// derived from the records' field lists, and a list edit that moves
+// a byte must bump CAMPAIGN_FORMAT / CKPT_VERSION and re-pin here.
+// The entry echoes its key, so a SIM_VERSION bump re-pins it too.
+TEST(Checkpoint, ByteFormatsArePinned)
+{
+    auto digest = [](const std::vector<u8> &bytes) {
+        sim::Fnv128 h;
+        h.update(bytes.data(), bytes.size());
+        return h.hex();
+    };
+
+    std::string dir = testing::TempDir() + "/format_pin_cache";
+    std::filesystem::remove_all(dir);
+    const auto &w = workloads::find("autocor");
+    sim::Campaign c(dir);
+    c.runTrips(w, compiler::Options::compiled(), true);
+    wir::Module mod;
+    w.build(mod);
+    auto key = sim::campaignKey(mod, compiler::Options::compiled(),
+                                uarch::UarchConfig{}, true);
+    std::vector<u8> entry;
+    ASSERT_TRUE(sim::readFile(dir + "/" + key.hex() + ".trun", entry));
+    EXPECT_EQ(digest(entry), "c64c3d156161d1a81ac51cfddc01c988")
+        << entry.size() << " bytes";
+
+    auto ckpt = sim::serializeCheckpoint(checkpointAfter("autocor", 500));
+    EXPECT_EQ(digest(ckpt), "d4fe6c6214fac4de49fdc6915ad16638")
+        << ckpt.size() << " bytes";
 }
 
 TEST(Checkpoint, SaveLoadFileRoundTrip)
@@ -316,7 +340,7 @@ TEST(Sampling, FunctionalArchitectureIsExactUnderSampling)
     auto s = sim::runSampled(prog, smem, uarch::UarchConfig{}, scfg);
     EXPECT_EQ(s.retVal, fr.retVal);
     EXPECT_EQ(s.totalBlocks, fr.stats.blocks);
-    EXPECT_EQ(isaBytes(s.isa), isaBytes(fr.stats));
+    EXPECT_EQ(fieldDiff(s.isa, fr.stats), "");
     EXPECT_EQ(sim::diffMemImages(plain, smem), "");
 }
 
@@ -356,38 +380,6 @@ TEST(SamplingDeathTest, InvalidConfigsAreFatal)
 // Campaign cache
 // ---------------------------------------------------------------------
 
-namespace {
-
-/** Field-by-field equality of two TripsRun records (bit-exact, via
- *  the record serializer's own byte image). */
-void
-expectSameRun(const core::TripsRun &a, const core::TripsRun &b)
-{
-    EXPECT_EQ(a.retVal, b.retVal);
-    EXPECT_EQ(a.codeBytes, b.codeBytes);
-    EXPECT_EQ(a.cycleLevel, b.cycleLevel);
-    EXPECT_EQ(isaBytes(a.isa), isaBytes(b.isa));
-    EXPECT_EQ(a.compile.totalInsts, b.compile.totalInsts);
-    EXPECT_EQ(a.compile.blocks, b.compile.blocks);
-    EXPECT_EQ(a.uarch.cycles, b.uarch.cycles);
-    EXPECT_EQ(a.uarch.blocksCommitted, b.uarch.blocksCommitted);
-    EXPECT_EQ(a.uarch.blocksFlushed, b.uarch.blocksFlushed);
-    EXPECT_EQ(a.uarch.l2Misses, b.uarch.l2Misses);
-    EXPECT_EQ(a.uarch.opnPackets, b.uarch.opnPackets);
-    EXPECT_DOUBLE_EQ(a.uarch.avgInstsInFlight, b.uarch.avgInstsInFlight);
-    for (size_t c = 0; c < a.uarch.opnHops.size(); ++c) {
-        EXPECT_EQ(a.uarch.opnHops[c].samples(),
-                  b.uarch.opnHops[c].samples());
-        EXPECT_DOUBLE_EQ(a.uarch.opnHops[c].mean(),
-                         b.uarch.opnHops[c].mean());
-    }
-    EXPECT_EQ(a.uarch.predictor.predictions, b.uarch.predictor.predictions);
-    EXPECT_EQ(a.uarch.predictor.mispredictions,
-              b.uarch.predictor.mispredictions);
-}
-
-} // namespace
-
 TEST(Campaign, WarmRerunIsBitIdenticalAndSkipsSimulation)
 {
     std::string dir = testing::TempDir() + "/campaign_cache_test";
@@ -403,7 +395,13 @@ TEST(Campaign, WarmRerunIsBitIdenticalAndSkipsSimulation)
     auto r2 = warm.runTrips(w, compiler::Options::compiled(), true);
     EXPECT_EQ(warm.cache().hits(), 1u);
     EXPECT_EQ(warm.cache().misses(), 0u);
-    expectSameRun(r1, r2);
+    EXPECT_EQ(r2.retVal, r1.retVal);
+    EXPECT_EQ(r2.funcFuelExhausted, r1.funcFuelExhausted);
+    EXPECT_EQ(r2.cycleLevel, r1.cycleLevel);
+    EXPECT_EQ(r2.codeBytes, r1.codeBytes);
+    EXPECT_EQ(fieldDiff(r2.isa, r1.isa), "");
+    EXPECT_EQ(fieldDiff(r2.compile, r1.compile), "");
+    EXPECT_EQ(fieldDiff(r2.uarch, r1.uarch), "");
 }
 
 TEST(Campaign, KeySeparatesEveryInputDimension)

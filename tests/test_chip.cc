@@ -24,6 +24,7 @@
 #include "core/machines.hh"
 #include "harness/diff.hh"
 #include "support/error.hh"
+#include "support/fields.hh"
 #include "testutil.hh"
 #include "uarch/chip_sim.hh"
 #include "wir/builder.hh"
@@ -76,41 +77,6 @@ runSolo(const isa::Program &prog, const Module &mod,
     return s;
 }
 
-/** Every scalar UarchResult field plus the OPN profile. */
-void
-expectSameUarch(const uarch::UarchResult &a, const uarch::UarchResult &b)
-{
-    EXPECT_EQ(a.retVal, b.retVal);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.blocksCommitted, b.blocksCommitted);
-    EXPECT_EQ(a.blocksFlushed, b.blocksFlushed);
-    EXPECT_EQ(a.instsFetched, b.instsFetched);
-    EXPECT_EQ(a.instsFired, b.instsFired);
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
-    EXPECT_EQ(a.loadViolationFlushes, b.loadViolationFlushes);
-    EXPECT_EQ(a.icacheMissStalls, b.icacheMissStalls);
-    EXPECT_EQ(a.l1dHits, b.l1dHits);
-    EXPECT_EQ(a.l1dMisses, b.l1dMisses);
-    EXPECT_EQ(a.l1iHits, b.l1iHits);
-    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
-    EXPECT_EQ(a.l2Hits, b.l2Hits);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.l1dWritebacks, b.l1dWritebacks);
-    EXPECT_EQ(a.l2Writebacks, b.l2Writebacks);
-    EXPECT_EQ(a.loadsExecuted, b.loadsExecuted);
-    EXPECT_EQ(a.storesCommitted, b.storesCommitted);
-    EXPECT_EQ(a.bytesL1, b.bytesL1);
-    EXPECT_EQ(a.bytesL2, b.bytesL2);
-    EXPECT_EQ(a.bytesMem, b.bytesMem);
-    EXPECT_EQ(a.peakInstsInFlight, b.peakInstsInFlight);
-    EXPECT_DOUBLE_EQ(a.avgBlocksInFlight, b.avgBlocksInFlight);
-    EXPECT_DOUBLE_EQ(a.avgInstsInFlight, b.avgInstsInFlight);
-    EXPECT_EQ(a.opnPackets, b.opnPackets);
-    EXPECT_EQ(a.localBypasses, b.localBypasses);
-    for (size_t c = 0; c < a.opnHops.size(); ++c)
-        EXPECT_EQ(a.opnHops[c].samples(), b.opnHops[c].samples());
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -135,7 +101,7 @@ TEST(ChipSim, OneCoreChipBitIdenticalToSoloCycleSim)
     auto cr = chip.run();
 
     ASSERT_EQ(cr.cores.size(), 1u);
-    expectSameUarch(cr.cores[0], solo.res);
+    EXPECT_EQ(fieldDiff(cr.cores[0], solo.res), "");
     EXPECT_EQ(cr.cycles, solo.res.cycles);
     // No second core: cross-core contention cannot exist.
     EXPECT_EQ(cr.uncore.bankConflicts, 0u);
@@ -199,14 +165,7 @@ TEST(ChipSim, DualCoreMixMatchesSoloArchitecturallyAndContends)
                   net::OcnClass::Writeback)], 0u);
 
     // Determinism: an identical mix reproduces every statistic.
-    auto cr2 = runChip();
-    EXPECT_EQ(cr1.cycles, cr2.cycles);
-    EXPECT_EQ(cr1.uncore.bankConflicts, cr2.uncore.bankConflicts);
-    EXPECT_EQ(cr1.uncore.bankConflictCycles,
-              cr2.uncore.bankConflictCycles);
-    EXPECT_EQ(cr1.ocn.totalPackets(), cr2.ocn.totalPackets());
-    expectSameUarch(cr1.cores[0], cr2.cores[0]);
-    expectSameUarch(cr1.cores[1], cr2.cores[1]);
+    EXPECT_EQ(fieldDiff(runChip(), cr1), "");
 }
 
 TEST(ChipSim, SameWorkloadOnBothCoresStaysArchitecturallyCorrect)
@@ -508,8 +467,8 @@ TEST(ChipDiff, GeneratedPairsMatchTheirSoloRuns)
     // 6 pairs under TRIPSIM_SLOW_TESTS (the `slow` ctest label), a
     // bounded prefix of the same pairs by default.
     for (u64 i = 0; i < testutil::slowScale(3, 6); ++i) {
-        auto r = harness::diffChipPair(harness::taskSeed(77, 2 * i),
-                                       harness::taskSeed(77, 2 * i + 1));
+        auto r = harness::diffChipMix({harness::taskSeed(77, 2 * i),
+                                       harness::taskSeed(77, 2 * i + 1)});
         EXPECT_TRUE(r.ok) << r.divergence << "\n  " << r.reproCmd();
         EXPECT_TRUE(r.chip);
     }

@@ -5,8 +5,8 @@
  *  - N=1 parallel is bit-identical to the serial lockstep reference
  *    (the shadow clone never diverges when there is no other core).
  *  - A fixed (mix, config, quantum) is exactly replayable: two runs
- *    produce byte-identical chip results, and the worker thread cap
- *    (T=1 vs T=8) cannot change a single statistic.
+ *    produce ChipResults equal in every field (fieldDiff), and the
+ *    worker thread cap (T=1 vs T=8) cannot change a single statistic.
  *  - Architectural results (retVal, final memory, committed blocks)
  *    are engine-invariant for every quantum, asserted across
  *    all-workload 4-core mixes (bounded by default; the full
@@ -19,6 +19,7 @@
 
 #include "compiler/codegen.hh"
 #include "harness/diff.hh"
+#include "support/fields.hh"
 #include "testutil.hh"
 #include "uarch/chip_sim.hh"
 #include "wir/builder.hh"
@@ -97,74 +98,6 @@ runChip(const std::vector<std::unique_ptr<MixProgram>> &ps,
     return run;
 }
 
-/** Every scalar UarchResult field plus the OPN profile. */
-void
-expectSameUarch(const uarch::UarchResult &a, const uarch::UarchResult &b)
-{
-    EXPECT_EQ(a.retVal, b.retVal);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.blocksCommitted, b.blocksCommitted);
-    EXPECT_EQ(a.blocksFlushed, b.blocksFlushed);
-    EXPECT_EQ(a.instsFetched, b.instsFetched);
-    EXPECT_EQ(a.instsFired, b.instsFired);
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
-    EXPECT_EQ(a.loadViolationFlushes, b.loadViolationFlushes);
-    EXPECT_EQ(a.icacheMissStalls, b.icacheMissStalls);
-    EXPECT_EQ(a.l1dHits, b.l1dHits);
-    EXPECT_EQ(a.l1dMisses, b.l1dMisses);
-    EXPECT_EQ(a.l1iHits, b.l1iHits);
-    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
-    EXPECT_EQ(a.l2Hits, b.l2Hits);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.l1dWritebacks, b.l1dWritebacks);
-    EXPECT_EQ(a.l2Writebacks, b.l2Writebacks);
-    EXPECT_EQ(a.loadsExecuted, b.loadsExecuted);
-    EXPECT_EQ(a.storesCommitted, b.storesCommitted);
-    EXPECT_EQ(a.bytesL1, b.bytesL1);
-    EXPECT_EQ(a.bytesL2, b.bytesL2);
-    EXPECT_EQ(a.bytesMem, b.bytesMem);
-    EXPECT_EQ(a.peakInstsInFlight, b.peakInstsInFlight);
-    EXPECT_DOUBLE_EQ(a.avgBlocksInFlight, b.avgBlocksInFlight);
-    EXPECT_DOUBLE_EQ(a.avgInstsInFlight, b.avgInstsInFlight);
-    EXPECT_EQ(a.opnPackets, b.opnPackets);
-    EXPECT_EQ(a.localBypasses, b.localBypasses);
-    for (size_t c = 0; c < a.opnHops.size(); ++c)
-        EXPECT_EQ(a.opnHops[c].samples(), b.opnHops[c].samples());
-}
-
-/** Byte-identical chip results: every per-core result, every uncore
- *  counter, every OCN class. */
-void
-expectSameChip(const uarch::ChipResult &a, const uarch::ChipResult &b)
-{
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    for (size_t i = 0; i < a.cores.size(); ++i)
-        expectSameUarch(a.cores[i], b.cores[i]);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.anyFuelExhausted, b.anyFuelExhausted);
-    EXPECT_EQ(a.l2DirtyDrained, b.l2DirtyDrained);
-    EXPECT_DOUBLE_EQ(a.ocnOccupancy, b.ocnOccupancy);
-
-    EXPECT_EQ(a.uncore.requests, b.uncore.requests);
-    EXPECT_EQ(a.uncore.l2Hits, b.uncore.l2Hits);
-    EXPECT_EQ(a.uncore.l2Misses, b.uncore.l2Misses);
-    EXPECT_EQ(a.uncore.l2Writebacks, b.uncore.l2Writebacks);
-    EXPECT_EQ(a.uncore.l1Writebacks, b.uncore.l1Writebacks);
-    EXPECT_EQ(a.uncore.bankConflicts, b.uncore.bankConflicts);
-    EXPECT_EQ(a.uncore.bankConflictCycles, b.uncore.bankConflictCycles);
-    EXPECT_EQ(a.uncore.dramRequests, b.uncore.dramRequests);
-    EXPECT_EQ(a.uncore.dramRowHits, b.uncore.dramRowHits);
-    EXPECT_EQ(a.uncore.requestsByCore, b.uncore.requestsByCore);
-    EXPECT_EQ(a.uncore.conflictsByCore, b.uncore.conflictsByCore);
-
-    EXPECT_EQ(a.ocn.flitHops, b.ocn.flitHops);
-    for (size_t c = 0; c < net::OCN_NUM_CLASSES; ++c) {
-        EXPECT_EQ(a.ocn.packets[c], b.ocn.packets[c]);
-        EXPECT_EQ(a.ocn.bytes[c], b.ocn.bytes[c]);
-        EXPECT_EQ(a.ocn.hops[c].samples(), b.ocn.hops[c].samples());
-    }
-}
-
 /** Engine-invariant architectural results: retVal, committed block
  *  stream, and the final memory image of every core. */
 void
@@ -208,7 +141,7 @@ TEST(ParallelEngine, OneCoreBitIdenticalToSerial)
 
     auto rs = runChip(ps, serial);
     auto rp = runChip(ps, par);
-    expectSameChip(rs.res, rp.res);
+    EXPECT_EQ(fieldDiff(rs.res, rp.res), "");
     expectSameArchitecture(ps, rs, rp, "one-core");
 }
 
@@ -226,7 +159,7 @@ TEST(ParallelEngine, SameMixConfigQuantumIsByteIdenticalTwice)
 
     auto r1 = runChip(ps, cfg);
     auto r2 = runChip(ps, cfg);
-    expectSameChip(r1.res, r2.res);
+    EXPECT_EQ(fieldDiff(r1.res, r2.res), "");
     expectSameArchitecture(ps, r1, r2, "replay");
 
     // The mix really contends (the determinism claim is not vacuous).
@@ -245,7 +178,7 @@ TEST(ParallelEngine, ThreadCapOneVsEightIsIdentical)
     auto r1 = runChip(ps, cfg);
     cfg.threads = 8;
     auto r8 = runChip(ps, cfg);
-    expectSameChip(r1.res, r8.res);
+    EXPECT_EQ(fieldDiff(r1.res, r8.res), "");
     expectSameArchitecture(ps, r1, r8, "threads");
 }
 
@@ -272,7 +205,7 @@ TEST(ParallelEngine, ArchitecturallyEqualToSerialAcrossQuanta)
                                "quantum=" + std::to_string(q));
         // And each quantum is individually replayable.
         auto rp2 = runChip(ps, par);
-        expectSameChip(rp.res, rp2.res);
+        EXPECT_EQ(fieldDiff(rp.res, rp2.res), "");
     }
 }
 

@@ -4,9 +4,10 @@
  *
  *  - The master property: attaching a TraceSink / MetricRegistry /
  *    StallCollector never changes simulation results. Every
- *    UarchResult field is bit-identical traced vs untraced, across
- *    the fixed workload matrix, a bounded fuzz slice, and a
- *    multi-core mix under both the serial and parallel chip engines.
+ *    UarchResult field (fieldDiff) is bit-identical traced vs
+ *    untraced, across the fixed workload matrix and a bounded fuzz
+ *    slice, and every ChipResult field on a multi-core mix under both
+ *    the serial and parallel chip engines.
  *  - Stall attribution is a partition: the per-category breakdown
  *    sums to total cycles, per-block rows sum to the chip total.
  *  - Trace files satisfy the Chrome trace-event schema (validateJson
@@ -37,6 +38,7 @@
 #include "obs/progress.hh"
 #include "sim/campaign.hh"
 #include "support/error.hh"
+#include "support/fields.hh"
 #include "testutil.hh"
 #include "uarch/chip_sim.hh"
 #include "wir/builder.hh"
@@ -74,43 +76,6 @@ countSub(const std::string &hay, const std::string &needle)
          pos = hay.find(needle, pos + needle.size()))
         ++n;
     return n;
-}
-
-/** Every scalar UarchResult field plus the OPN profile. */
-void
-expectSameUarch(const uarch::UarchResult &a, const uarch::UarchResult &b)
-{
-    EXPECT_EQ(a.retVal, b.retVal);
-    EXPECT_EQ(a.fuelExhausted, b.fuelExhausted);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.blocksCommitted, b.blocksCommitted);
-    EXPECT_EQ(a.blocksFlushed, b.blocksFlushed);
-    EXPECT_EQ(a.instsFetched, b.instsFetched);
-    EXPECT_EQ(a.instsFired, b.instsFired);
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
-    EXPECT_EQ(a.callRetMispredicts, b.callRetMispredicts);
-    EXPECT_EQ(a.loadViolationFlushes, b.loadViolationFlushes);
-    EXPECT_EQ(a.icacheMissStalls, b.icacheMissStalls);
-    EXPECT_EQ(a.l1dHits, b.l1dHits);
-    EXPECT_EQ(a.l1dMisses, b.l1dMisses);
-    EXPECT_EQ(a.l1iHits, b.l1iHits);
-    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
-    EXPECT_EQ(a.l2Hits, b.l2Hits);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.l1dWritebacks, b.l1dWritebacks);
-    EXPECT_EQ(a.l2Writebacks, b.l2Writebacks);
-    EXPECT_EQ(a.loadsExecuted, b.loadsExecuted);
-    EXPECT_EQ(a.storesCommitted, b.storesCommitted);
-    EXPECT_EQ(a.bytesL1, b.bytesL1);
-    EXPECT_EQ(a.bytesL2, b.bytesL2);
-    EXPECT_EQ(a.bytesMem, b.bytesMem);
-    EXPECT_EQ(a.peakInstsInFlight, b.peakInstsInFlight);
-    EXPECT_DOUBLE_EQ(a.avgBlocksInFlight, b.avgBlocksInFlight);
-    EXPECT_DOUBLE_EQ(a.avgInstsInFlight, b.avgInstsInFlight);
-    EXPECT_EQ(a.opnPackets, b.opnPackets);
-    EXPECT_EQ(a.localBypasses, b.localBypasses);
-    for (size_t c = 0; c < a.opnHops.size(); ++c)
-        EXPECT_EQ(a.opnHops[c].samples(), b.opnHops[c].samples());
 }
 
 /** Solo run of a compiled module; obs may be null (the baseline). */
@@ -317,7 +282,7 @@ TEST(ObsSolo, TracedRunBitIdenticalAndStallsPartitionCycles)
     co.samplePeriod = 1024;
     auto traced = runSoloObserved(prog, mod, &co);
 
-    expectSameUarch(base, traced);
+    EXPECT_EQ(fieldDiff(traced, base), "");
 
     // Stall attribution is a partition of the run's cycles.
     EXPECT_EQ(stalls.total(), traced.cycles);
@@ -397,7 +362,7 @@ TEST(ObsSolo, WorkloadMatrixBitIdentical)
         co.stalls = &stalls;
         SCOPED_TRACE(e.name);
         auto traced = runSoloObserved(prog, mod, &co);
-        expectSameUarch(base, traced);
+        EXPECT_EQ(fieldDiff(traced, base), "");
         EXPECT_EQ(stalls.total(), traced.cycles);
     }
 }
@@ -424,7 +389,7 @@ TEST(ObsSolo, FuzzSliceBitIdentical)
         co.stalls = &stalls;
         SCOPED_TRACE("seed " + std::to_string(seed));
         auto traced = runSoloObserved(prog, mod, &co);
-        expectSameUarch(base, traced);
+        EXPECT_EQ(fieldDiff(traced, base), "");
         EXPECT_EQ(stalls.total(), traced.cycles);
     }
 }
@@ -495,14 +460,7 @@ TEST(ObsChip, SerialAndParallelBitIdenticalTracedVsUntraced)
                          /*sample_period=*/2048, /*stalls=*/true);
         auto traced = runChipObserved(m, cfg, &obs);
 
-        ASSERT_EQ(traced.cores.size(), base.cores.size());
-        for (size_t i = 0; i < base.cores.size(); ++i)
-            expectSameUarch(base.cores[i], traced.cores[i]);
-        EXPECT_EQ(traced.cycles, base.cycles);
-        EXPECT_EQ(traced.uncore.bankConflicts,
-                  base.uncore.bankConflicts);
-        EXPECT_EQ(traced.uncore.bankConflictCycles,
-                  base.uncore.bankConflictCycles);
+        EXPECT_EQ(fieldDiff(traced, base), "");
 
         // Per-core stall partition, and the chip-level merge.
         u64 cycleSum = 0;
